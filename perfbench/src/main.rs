@@ -4,17 +4,20 @@
 //! last line the result object
 //! `{"correct":…,"attempted":…,"failed":…,"metrics":{…}}`. Run it from
 //! the repository root.
+//!
+//! `perfbench --sweep-child SEED SCALE` is the child mode `paper_sweep`
+//! starts itself in to measure `render_all`'s memory in a fresh process.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use eleph_perfbench::gen::Sizes;
 use eleph_perfbench::output::Machine;
-use eleph_perfbench::{header, run, spans_path, Request, EXTRA_WORKLOADS, WORKLOADS};
+use eleph_perfbench::{header, run, spans_path, sweep, Request, EXTRA_WORKLOADS, WORKLOADS};
 
 const USAGE: &str = "usage: perfbench --workload NAME --seed N --seconds S --trace 0|1";
 
-fn parse(args: &[String]) -> Result<Request<'_>, String> {
+fn parse<'a>(args: &'a [String], exe: &'a Path) -> Result<Request<'a>, String> {
     let mut workload = None;
     let mut seed = None;
     let mut seconds = None;
@@ -56,12 +59,29 @@ fn parse(args: &[String]) -> Result<Request<'_>, String> {
         seconds: seconds.ok_or("--seconds is required")?,
         trace: trace.ok_or("--trace is required")?,
         sizes: Sizes::full(),
+        exe,
     })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let req = match parse(&args) {
+    if args.first().map(String::as_str) == Some(sweep::CHILD_FLAG) {
+        return match sweep::child_sweep(&args[1..]) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("perfbench: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+    let exe = match std::env::current_exe() {
+        Ok(exe) => exe,
+        Err(e) => {
+            eprintln!("perfbench: locating the benchmark binary: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let req = match parse(&args, &exe) {
         Ok(req) => req,
         Err(e) => {
             eprintln!("perfbench: {e}\n{USAGE}");

@@ -224,18 +224,29 @@ fn source_digest(dir: &Path) -> String {
     format!("fnv1a64:{h:016x}")
 }
 
-/// This process's resident set size in KiB, from `/proc/self/status`
-/// (0 where that file does not exist).
-fn rss_kb() -> u64 {
+/// A KiB field of `/proc/self/status` (0 where that file does not
+/// exist).
+fn status_kb(field: &str) -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find(|l| l.starts_with("VmRSS:"))
+                .find(|l| l.starts_with(field))
                 .and_then(|l| l.split_whitespace().nth(1))
                 .and_then(|kb| kb.parse().ok())
         })
         .unwrap_or(0)
+}
+
+/// This process's resident set size in KiB.
+fn rss_kb() -> u64 {
+    status_kb("VmRSS:")
+}
+
+/// This process's peak resident set size over its lifetime, in KiB, as
+/// the kernel tracks it (exact, unlike a sampled peak).
+pub fn lifetime_peak_rss_kb() -> u64 {
+    status_kb("VmHWM:")
 }
 
 /// Samples this process's resident set size every [`RSS_PERIOD`] on a

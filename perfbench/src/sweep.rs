@@ -12,6 +12,8 @@
 //! per configuration.
 
 use std::io;
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 use eleph_core::holding;
@@ -25,7 +27,7 @@ use eleph_report::experiments::{
 use eleph_report::{run, DetectorKind, Scenario, SchemeSpec};
 use eleph_stats::SetAccuracy;
 
-use crate::output::{Metric, RssSampler};
+use crate::output::{lifetime_peak_rss_kb, Metric};
 use crate::spans::{span, totals, SharedTracer, Tracer};
 use crate::stats::{median, relative_spread};
 
@@ -281,7 +283,8 @@ pub struct SweepRun {
     pub failed: u64,
     /// Wall time of each untraced `render_all`.
     pub sweep_s: Vec<f64>,
-    /// Peak resident memory of each untraced `render_all`.
+    /// Peak resident memory of each fresh-process `render_all`
+    /// (untraced runs only).
     pub peak_rss_mb: Vec<f64>,
     /// Per-layer metrics (traced runs only).
     pub layers: Vec<Metric>,
@@ -292,9 +295,18 @@ pub struct SweepRun {
 /// Minimum sweeps of each kind per run.
 const MIN_SWEEPS: usize = crate::stats::TAIL_BEYOND + 1;
 
+/// Fresh processes an untraced run measures `render_all`'s peak
+/// resident memory in, after its timed sweeps.
+pub const MEMORY_SWEEPS: usize = 7;
+
+/// The argument that makes the benchmark binary run one `render_all`
+/// as a child process (see [`child_sweep`]).
+pub const CHILD_FLAG: &str = "--sweep-child";
+
 /// Repeat `render_all` for `seconds`; with `trace`, alternate with
-/// traced step-by-step passes.
-pub fn run_sweep(w: &SweepWorkload, seconds: f64, trace: bool) -> io::Result<SweepRun> {
+/// traced step-by-step passes. Untraced runs then measure memory in
+/// child processes of `exe`, the benchmark binary.
+pub fn run_sweep(w: &SweepWorkload, seconds: f64, trace: bool, exe: &Path) -> io::Result<SweepRun> {
     let tracer = Tracer::shared(false);
     let mut untraced = Vec::new();
     let mut traced = Vec::new();
@@ -305,15 +317,12 @@ pub fn run_sweep(w: &SweepWorkload, seconds: f64, trace: bool) -> io::Result<Swe
     let mut attempted = 4;
 
     let start = Instant::now();
-    let rss = RssSampler::start();
-    let mut peaks = Vec::new();
     while start.elapsed().as_secs_f64() < seconds
         || untraced.len() < MIN_SWEEPS
         || (trace && traced.len() < 3)
     {
         let traced_turn = trace && traced.len() < untraced.len();
         tracer.borrow_mut().set_on(traced_turn);
-        rss.reset();
         let t = Instant::now();
         let out = if traced_turn {
             let root = tracer.borrow_mut().enter("bench.pass");
@@ -330,11 +339,24 @@ pub fn run_sweep(w: &SweepWorkload, seconds: f64, trace: bool) -> io::Result<Swe
             traced.push(secs);
         } else {
             untraced.push(secs);
-            peaks.push(rss.peak_mb());
         }
     }
     tracer.borrow_mut().set_on(false);
-    rss.finish();
+    // Memory is measured in fresh processes, one `render_all` each, as
+    // `eleph all` runs. Within one long-lived process the resident peak
+    // mostly measures what earlier sweeps left cached in the allocator's
+    // per-thread arenas, which depends on how the threads interleaved:
+    // the median peak of a run spread 20 % over ten seeds, and the
+    // resident size between sweeps ranged from 30 to 130 MB.
+    let mut peaks = Vec::new();
+    if !trace {
+        for _ in 0..MEMORY_SWEEPS {
+            let (peak_mb, differing) = fresh_process_sweep(w, exe)?;
+            attempted += EXPERIMENTS as u64;
+            failed += differing;
+            peaks.push(peak_mb);
+        }
+    }
     let tracer = std::rc::Rc::try_unwrap(tracer)
         .expect("no other tracer handle")
         .into_inner();
@@ -351,6 +373,50 @@ pub fn run_sweep(w: &SweepWorkload, seconds: f64, trace: bool) -> io::Result<Swe
         layers,
         tracer: trace.then_some(tracer),
     })
+}
+
+/// Run `render_all` in a child process of `exe`, the benchmark binary;
+/// returns the child's lifetime peak resident memory in MiB and the
+/// sections of its output that differ from the reference.
+fn fresh_process_sweep(w: &SweepWorkload, exe: &Path) -> io::Result<(f64, u64)> {
+    let out = Command::new(exe)
+        .args([
+            CHILD_FLAG,
+            &w.opts.seed.to_string(),
+            &w.opts.scale.to_string(),
+        ])
+        .stdin(Stdio::null())
+        .output()?;
+    if !out.status.success() {
+        return Err(io::Error::other(format!(
+            "sweep child failed ({}): {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr).trim()
+        )));
+    }
+    let peak_kb: u64 = String::from_utf8_lossy(&out.stderr)
+        .trim()
+        .parse()
+        .map_err(|e| io::Error::other(format!("sweep child peak: {e}")))?;
+    let got = String::from_utf8_lossy(&out.stdout);
+    Ok((peak_kb as f64 / 1024.0, differing_sections(w, &got)))
+}
+
+/// Child mode (`perfbench --sweep-child SEED SCALE`): one `render_all`,
+/// its output to stdout, then this process's lifetime peak resident
+/// memory in KiB to stderr.
+pub fn child_sweep(args: &[String]) -> Result<(), String> {
+    let [seed, scale] = args else {
+        return Err(format!("usage: perfbench {CHILD_FLAG} SEED SCALE"));
+    };
+    let opts = CommonOpts {
+        seed: seed.parse().map_err(|e| format!("seed: {e}"))?,
+        scale: scale.parse().map_err(|e| format!("scale: {e}"))?,
+    };
+    let out = render_all(opts).map_err(|e| format!("render_all: {e}"))?;
+    print!("{out}");
+    eprintln!("{}", lifetime_peak_rss_kb());
+    Ok(())
 }
 
 fn layer_metrics(untraced: &[f64], traced: &[f64], tracer: &Tracer) -> Vec<Metric> {

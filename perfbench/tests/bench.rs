@@ -2,6 +2,8 @@
 //! determinism of every workload generator, and a tiny-scale smoke run
 //! of all four workloads against their oracles.
 
+use std::path::Path;
+
 use eleph_perfbench::gen::{self, Sizes};
 use eleph_perfbench::output::{result_line, valid_name, valid_unit, Metric};
 use eleph_perfbench::stats::{quartiles, tail, TAIL_BEYOND};
@@ -178,6 +180,7 @@ fn smoke_all_workloads_pass_their_oracles() {
                 seconds: 0.05,
                 trace,
                 sizes: Sizes::tiny(),
+                exe: Path::new(env!("CARGO_BIN_EXE_perfbench")),
             };
             let out = run(&req).unwrap_or_else(|e| panic!("{workload}: {e}"));
             assert!(out.attempted > 0, "{workload}");
