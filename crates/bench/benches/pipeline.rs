@@ -59,35 +59,6 @@ fn bench_end_to_end(c: &mut Criterion) {
         })
     });
 
-    // The sharded online path at increasing shard counts. Shard 1
-    // isolates pure coordination cost (channel hops + the seal
-    // barrier) against the inline serial arm above; higher counts show
-    // how the partitioned bin/seal work scales with available cores.
-    // Output is bit-identical to the serial arm at every count (pinned
-    // by tests/tests/sharded_equivalence.rs), so any delta is pure
-    // mechanism overhead or speedup — never a measurement change.
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_function(format!("streaming_shards{shards}"), |b| {
-            b.iter(|| {
-                let mut pipeline = PipelineBuilder::new()
-                    .frozen(&frozen)
-                    .interval_secs(config.interval_secs)
-                    .start_unix(config.start_unix)
-                    .n_intervals(config.n_intervals)
-                    .detector(ConstantLoadDetector::new(0.8))
-                    .gamma(PAPER_GAMMA)
-                    .scheme(scheme)
-                    .shards(shards)
-                    .build();
-                pipeline
-                    .run(PcapSource::new(black_box(&pcap[..])).expect("valid pcap"))
-                    .expect("sharded run");
-                let report = pipeline.finish().expect("finish");
-                (report.intervals, report.stats.attributed)
-            })
-        });
-    }
-
     // Asynchronous pooled ingest feeding the serial online path: record
     // framing and packet parsing run on their own threads, overlapping
     // attribution and classification on the pipeline thread.

@@ -44,7 +44,6 @@ mod classify;
 pub mod holding;
 mod online;
 pub mod prefix_analysis;
-mod shard;
 pub mod sketch;
 mod threshold;
 mod tracker;
@@ -54,10 +53,6 @@ pub use sketch::{
     AdaptiveBloom, CountMinRow, ExactDense, SpaceSaving, StateBackend, StateBackendConfig,
 };
 pub use online::{ClassifierState, IntervalOutcome, OnlineClassifier};
-pub use shard::{
-    merge_observations, merge_states, partition_state, ClassifierPart, PartObservation,
-    PartState, SealContext, SealCoordinator,
-};
 pub use threshold::{
     AestDetector, ConstantLoadDetector, PercentileDetector, ThresholdDetector, TopNDetector,
 };

@@ -51,7 +51,7 @@ impl IntervalOutcome {
 /// The sliding-window length a scheme classifies over: the latent-heat
 /// window, or 1 for the single-interval schemes. Panics on invalid
 /// scheme parameters (same contract as [`OnlineClassifier::new`]).
-pub(crate) fn scheme_window(scheme: Scheme) -> usize {
+fn scheme_window(scheme: Scheme) -> usize {
     match scheme {
         Scheme::LatentHeat { window } => {
             assert!(window >= 1, "latent-heat window must be >= 1");
@@ -99,9 +99,8 @@ impl ClassifierState {
     /// bounded by the scheme's window, key lists and snapshots ascending,
     /// membership only under hysteresis, and per-key occupancy counts
     /// exactly matching the history (the retire path depends on that
-    /// invariant to release state). Shared by
-    /// [`OnlineClassifier::from_state`] and the sharded partition/merge
-    /// path, so a corrupt state is rejected identically everywhere.
+    /// invariant to release state). [`OnlineClassifier::from_state`]
+    /// runs it, so a corrupt checkpoint is rejected before it loads.
     ///
     /// # Panics
     ///

@@ -281,9 +281,10 @@ impl<R: Read> Iterator for PcapReader<R> {
 ///
 /// Where [`PcapReader`] copies each record's bytes out of a stream,
 /// `PcapSlice` hands back sub-slices of the input buffer — record
-/// iteration allocates and copies nothing. This is what lets
-/// aggregation shard one capture across threads: every worker reads
-/// records straight out of the shared buffer.
+/// iteration allocates and copies nothing. This is what lets pooled
+/// ingest ([`crate::pool::PooledReader`]) split one capture across
+/// threads: every parser reads records straight out of the shared
+/// buffer.
 #[derive(Debug, Clone)]
 pub struct PcapSlice<'a> {
     data: &'a [u8],
@@ -315,51 +316,10 @@ impl<'a> PcapSlice<'a> {
         self.pos
     }
 
-    /// Decode up to `max` records into `out` (appended), returning how
-    /// many were decoded; fewer than `max` means clean end-of-input.
-    ///
-    /// This is the two-cursor form of the scan: a *scan-ahead* cursor
-    /// walks the raw bytes roughly [`SCAN_AHEAD_BYTES`] in front of the
-    /// decode position, requesting one cache line per touch, while the
-    /// *consume* cursor decodes record headers behind it. The header
-    /// walk itself is a dependent chain (each record's offset comes from
-    /// the previous record's captured length), so a cold miss on every
-    /// header serialises the whole scan — warming the lines ahead of
-    /// the chain is what keeps the shard-splitting pass of
-    /// `eleph_flow::aggregate_pcap_parallel` off the memory-latency
-    /// floor. With the `prefetch` cargo feature the touches are real
-    /// `prefetcht0` hints; without it they are forced one-byte reads,
-    /// which the out-of-order window hides almost as well.
-    ///
-    /// Errors abort the batch exactly like [`PcapSlice::next_record`]:
-    /// records already appended to `out` are valid, the cursor stops at
-    /// the damaged record.
-    pub fn next_batch(
-        &mut self,
-        max: usize,
-        out: &mut Vec<(RecordHeader, &'a [u8])>,
-    ) -> Result<usize> {
-        let mut touched = self.pos;
-        let mut n = 0;
-        while n < max {
-            let target = (self.pos + SCAN_AHEAD_BYTES).min(self.data.len());
-            while touched < target {
-                touch_ahead(&self.data[touched]);
-                touched += CACHE_LINE;
-            }
-            match self.next_record()? {
-                Some(rec) => {
-                    out.push(rec);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(n)
-    }
-
-    /// [`PcapSlice::next_batch`] yielding byte *spans* (offsets into the
-    /// input buffer) instead of borrowed sub-slices.
+    /// Decode up to `max` records into `out` (appended) as `(header,
+    /// byte span)` pairs — offsets into the input buffer, not borrowed
+    /// sub-slices — returning how many were decoded; fewer than `max`
+    /// means clean end-of-input.
     ///
     /// Spans are what cross threads: a slice borrow ties the batch to
     /// the cursor's lifetime, but a `(header, offset range)` pair is
@@ -369,9 +329,21 @@ impl<'a> PcapSlice<'a> {
     /// No record bytes are copied at any point (see
     /// [`crate::pool::PooledReader`]).
     ///
-    /// Same scan-ahead warming and same error contract as
-    /// [`PcapSlice::next_batch`]: spans already appended to `out` are
-    /// valid, the cursor stops at the damaged record.
+    /// This is the two-cursor form of the scan: a *scan-ahead* cursor
+    /// walks the raw bytes roughly [`SCAN_AHEAD_BYTES`] in front of the
+    /// decode position, requesting one cache line per touch, while the
+    /// *consume* cursor decodes record headers behind it. The header
+    /// walk itself is a dependent chain (each record's offset comes from
+    /// the previous record's captured length), so a cold miss on every
+    /// header serialises the whole scan — warming the lines ahead of
+    /// the chain keeps the framer off the memory-latency floor. With
+    /// the `prefetch` cargo feature the touches are real `prefetcht0`
+    /// hints; without it they are forced one-byte reads, which the
+    /// out-of-order window hides almost as well.
+    ///
+    /// Errors abort the batch exactly like [`PcapSlice::next_record`]:
+    /// spans already appended to `out` are valid, the cursor stops at
+    /// the damaged record.
     pub fn next_batch_spans(
         &mut self,
         max: usize,
@@ -427,7 +399,7 @@ impl<'a> PcapSlice<'a> {
     }
 }
 
-/// How far the scan-ahead cursor of [`PcapSlice::next_batch`] runs in
+/// How far the scan-ahead cursor of [`PcapSlice::next_batch_spans`] runs in
 /// front of the decode position. A few records' worth: far enough that
 /// the touched lines arrive before the consume cursor needs them, near
 /// enough not to thrash the L1.
@@ -739,9 +711,9 @@ mod tests {
         for batch_size in [1usize, 7, 64, 1000] {
             let mut single = PcapSlice::new(&buf[..]).unwrap();
             let mut batched = PcapSlice::new(&buf[..]).unwrap();
-            let mut got: Vec<(RecordHeader, &[u8])> = Vec::new();
+            let mut got: Vec<(RecordHeader, std::ops::Range<usize>)> = Vec::new();
             loop {
-                let n = batched.next_batch(batch_size, &mut got).unwrap();
+                let n = batched.next_batch_spans(batch_size, &mut got).unwrap();
                 if n < batch_size {
                     break;
                 }
@@ -749,7 +721,9 @@ mod tests {
             assert_eq!(batched.position(), buf.len());
             let mut i = 0;
             while let Some((head, data)) = single.next_record().unwrap() {
-                assert_eq!(got[i], (head, data), "batch {batch_size}, record {i}");
+                let (got_head, span) = &got[i];
+                let got_record = (*got_head, &buf[span.clone()]);
+                assert_eq!(got_record, (head, data), "batch {batch_size}, record {i}");
                 i += 1;
             }
             assert_eq!(got.len(), i, "batch {batch_size}");
@@ -766,10 +740,10 @@ mod tests {
         buf.truncate(buf.len() - 2); // cut the second record's body
         let mut cursor = PcapSlice::new(&buf[..]).unwrap();
         let mut out = Vec::new();
-        assert!(cursor.next_batch(16, &mut out).is_err());
+        assert!(cursor.next_batch_spans(16, &mut out).is_err());
         // The valid prefix was still decoded.
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1, &[1, 2, 3, 4]);
+        assert_eq!(&buf[out[0].1.clone()], &[1, 2, 3, 4]);
     }
 
     #[test]

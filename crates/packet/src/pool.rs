@@ -297,8 +297,7 @@ fn run_parser(
 ) {
     loop {
         // Hold the lock only for the recv: batches are claimed by
-        // whichever parser is free, the same worker-pool idiom as the
-        // batch aggregator's shard scan.
+        // whichever parser is free.
         let msg = frame_rx.lock().expect("frame channel lock").recv();
         let Ok((seq, framed)) = msg else { return };
         let result = match framed {

@@ -67,7 +67,6 @@
 
 mod checkpoint;
 mod pipeline;
-mod shard;
 mod sink;
 mod source;
 

@@ -5,9 +5,8 @@ use std::fmt;
 
 use eleph_bgp::{BgpTable, FrozenBgpTable, LiveBgpTable, RouteId, TableView, UpdateBatch};
 use eleph_core::{
-    ClassifierState, ConstantLoadDetector, ExactDense, IntervalOutcome, OnlineClassifier, Scheme,
-    StateBackend, StateBackendConfig, ThresholdDetector, PAPER_BETA, PAPER_GAMMA,
-    PAPER_LATENT_WINDOW,
+    ConstantLoadDetector, ExactDense, IntervalOutcome, OnlineClassifier, Scheme, StateBackend,
+    StateBackendConfig, ThresholdDetector, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
 use eleph_flow::{attribute_metas, FrozenTableRef, KeyAllocator, KeyId};
 use eleph_net::Prefix;
@@ -15,7 +14,6 @@ use eleph_packet::{LinkType, PacketMeta};
 use eleph_trace::{CrashPoint, CrashSwitch};
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, Checkpointer};
-use crate::shard::ShardEngine;
 use crate::sink::{SealedInterval, Sink};
 use crate::source::PacketSource;
 
@@ -240,7 +238,6 @@ pub struct PipelineBuilder<'t, D> {
     detector: D,
     gamma: f64,
     scheme: Scheme,
-    shards: usize,
     state: StateBackendConfig,
     sinks: Vec<Box<dyn Sink>>,
     crash: Option<CrashSwitch>,
@@ -259,7 +256,6 @@ impl Default for PipelineBuilder<'_, ConstantLoadDetector> {
             scheme: Scheme::LatentHeat {
                 window: PAPER_LATENT_WINDOW,
             },
-            shards: 0,
             state: StateBackendConfig::Exact,
             sinks: Vec::new(),
             crash: None,
@@ -355,7 +351,6 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             detector,
             gamma: self.gamma,
             scheme: self.scheme,
-            shards: self.shards,
             state: self.state,
             sinks: self.sinks,
             crash: self.crash,
@@ -374,29 +369,12 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
         self
     }
 
-    /// Partition the online path over `n` worker threads, each owning
-    /// the byte row and classifier state for `key % n == shard`. `0`
-    /// (the default) runs everything inline on the pipeline thread;
-    /// any `n ≥ 1` uses the sharded engine (so `--shards 1` measures
-    /// pure coordination overhead). Output — thresholds, elephant sets,
-    /// loads, checkpoints — is bit-identical for every value of `n`;
-    /// see the `shard` module docs for why.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
     /// Seal intervals from this state backend
     /// ([`StateBackendConfig::Exact`], the default, keeps the dense byte
     /// row and is bit-identical to every earlier release; the sketch
     /// backends trade bounded memory for approximate snapshots — see
     /// [`eleph_core::sketch`]). Detection, smoothing and scheme state
     /// always run exactly on whatever snapshot the backend seals.
-    ///
-    /// Sketch backends run serially: combining one with
-    /// [`PipelineBuilder::shards`] panics at build time (their whole
-    /// point is that state no longer scales with keys, so there is no
-    /// row to partition).
     pub fn state_backend(mut self, config: StateBackendConfig) -> Self {
         self.state = config;
         self
@@ -434,30 +412,14 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
         let (start_ns, interval_ns) =
             eleph_flow::window_bounds_ns(self.interval_secs, self.start_unix);
         let n_routes = table.id_space();
-        let secs = self.interval_secs as f64;
-        let engine = match self.state.build() {
-            Some(backend) => {
-                assert_eq!(
-                    self.shards, 0,
-                    "sketch state backends run serially (--state {} is incompatible with shards)",
-                    self.state.kind()
-                );
-                Engine::Sketch {
-                    classifier: OnlineClassifier::new(self.detector, self.gamma, self.scheme),
-                    backend,
-                    snapshot: Vec::new(),
-                }
-            }
-            None if self.shards == 0 => {
-                Engine::serial(OnlineClassifier::new(self.detector, self.gamma, self.scheme))
-            }
-            None => Engine::Sharded(ShardEngine::new(
-                self.detector,
-                self.gamma,
-                self.scheme,
-                self.shards,
-                secs,
-            )),
+        let row = match self.state.build() {
+            Some(backend) => Row::Sketch(backend),
+            None => Row::Exact(ExactDense::new()),
+        };
+        let engine = Engine {
+            classifier: OnlineClassifier::new(self.detector, self.gamma, self.scheme),
+            row,
+            snapshot: Vec::new(),
         };
         Pipeline {
             table,
@@ -465,7 +427,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             update_ns,
             next_update: 0,
             interval_secs: self.interval_secs,
-            secs,
+            secs: self.interval_secs as f64,
             start_unix: self.start_unix,
             start_ns,
             interval_ns,
@@ -613,62 +575,27 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
                 )));
             }
         }
-        let secs = self.interval_secs as f64;
-        // Exact checkpoints are shard-count-independent: the serial
-        // state either restores directly or partitions onto fresh
-        // workers. Sketch checkpoints restore onto the one backend kind
-        // (and geometry) they were exported from.
-        let engine = match self.state.build() {
+        // The exact path rebuilds (and validates) the open interval's
+        // dense byte row; sketch checkpoints restore onto the one
+        // backend kind (and geometry) they were exported from.
+        let row = match self.state.build() {
             Some(mut backend) => {
-                assert_eq!(
-                    self.shards, 0,
-                    "sketch state backends run serially (--state {} is incompatible with shards)",
-                    self.state.kind()
-                );
                 let (_, payload) = ckpt.sketch.as_ref().expect("kind check passed for a sketch");
                 backend.restore_sketch(payload).map_err(CheckpointError::State)?;
-                let classifier = OnlineClassifier::from_state(
-                    self.detector,
-                    self.gamma,
-                    self.scheme,
-                    ckpt.state.clone(),
-                )
-                .map_err(CheckpointError::State)?;
-                Engine::Sketch {
-                    classifier,
-                    backend,
-                    snapshot: Vec::new(),
-                }
+                Row::Sketch(backend)
             }
-            None if self.shards == 0 => {
-                // Rebuild (and validate) the open interval's dense byte
-                // row.
-                let state = ExactDense::from_checkpoint_row(ckpt.keys.len(), &ckpt.row)
-                    .map_err(CheckpointError::State)?;
-                let classifier = OnlineClassifier::from_state(
-                    self.detector,
-                    self.gamma,
-                    self.scheme,
-                    ckpt.state.clone(),
-                )
+            None => Row::Exact(
+                ExactDense::from_checkpoint_row(ckpt.keys.len(), &ckpt.row)
+                    .map_err(CheckpointError::State)?,
+            ),
+        };
+        let classifier =
+            OnlineClassifier::from_state(self.detector, self.gamma, self.scheme, ckpt.state.clone())
                 .map_err(CheckpointError::State)?;
-                Engine::Serial {
-                    classifier,
-                    state,
-                    snapshot: Vec::new(),
-                }
-            }
-            None => ShardEngine::resume(
-                self.detector,
-                self.gamma,
-                self.scheme,
-                self.shards,
-                secs,
-                &ckpt.state,
-                &ckpt.row,
-            )
-            .map(Engine::Sharded)
-            .map_err(CheckpointError::State)?,
+        let engine = Engine {
+            classifier,
+            row,
+            snapshot: Vec::new(),
         };
         let (start_ns, interval_ns) =
             eleph_flow::window_bounds_ns(self.interval_secs, self.start_unix);
@@ -678,7 +605,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             update_ns,
             next_update,
             interval_secs: self.interval_secs,
-            secs,
+            secs: self.interval_secs as f64,
             start_unix: self.start_unix,
             start_ns,
             interval_ns,
@@ -731,50 +658,32 @@ fn update_schedule(table: &TableHandle<'_>, updates: &[UpdateBatch]) -> Vec<u64>
     ns
 }
 
-/// The classification engine behind a [`Pipeline`]: the open byte row
-/// plus the online classifier, either inline on the pipeline thread
-/// (serial — the default) or partitioned over shard workers. Both
-/// variants expose the identical bin/seal/frontier surface and produce
-/// bit-identical output; the pipeline's window logic, sealing cadence,
-/// sinks and crash points never branch on the variant.
-enum Engine<D: ThresholdDetector> {
-    Serial {
-        classifier: OnlineClassifier<D>,
-        /// The exact open-interval byte row (the concrete type, not a
-        /// trait object: the default path stays statically dispatched
-        /// and byte-identical to every earlier release).
-        state: ExactDense,
-        /// Seal-path scratch: the sparse snapshot handed to the
-        /// classifier.
-        snapshot: Vec<(KeyId, f32)>,
-    },
-    /// A sublinear-memory sketch accumulates the open interval; the
-    /// classifier still observes a sealed snapshot exactly as in the
-    /// serial engine — detection never knows the row was approximate.
-    Sketch {
-        classifier: OnlineClassifier<D>,
-        backend: Box<dyn StateBackend>,
-        snapshot: Vec<(KeyId, f32)>,
-    },
-    Sharded(ShardEngine<D>),
+/// The open interval's byte state: the exact dense row (the concrete
+/// type, not a trait object: `record` is on the per-packet path, so the
+/// default stays statically dispatched and byte-identical to every
+/// earlier release) or a sublinear-memory sketch, whose snapshots the
+/// classifier observes exactly as it would the exact row's.
+enum Row {
+    Exact(ExactDense),
+    Sketch(Box<dyn StateBackend>),
+}
+
+/// The classification engine behind a [`Pipeline`]: the open-interval
+/// row plus the online classifier, both inline on the pipeline thread.
+struct Engine<D: ThresholdDetector> {
+    classifier: OnlineClassifier<D>,
+    row: Row,
+    /// Seal-path scratch: the sparse snapshot handed to the classifier.
+    snapshot: Vec<(KeyId, f32)>,
 }
 
 impl<D: ThresholdDetector> Engine<D> {
-    fn serial(classifier: OnlineClassifier<D>) -> Self {
-        Engine::Serial {
-            classifier,
-            state: ExactDense::new(),
-            snapshot: Vec::new(),
-        }
-    }
-
     /// Bin attributed bytes into the open interval.
     #[inline]
     fn bin(&mut self, key: KeyId, bytes: u64) {
-        match self {
-            Engine::Serial { state, .. } => state.record(key, bytes),
-            Engine::Sketch { backend, .. } => backend.record(key, bytes),
-            Engine::Sharded(engine) => engine.bin(key, bytes),
+        match &mut self.row {
+            Row::Exact(row) => row.record(key, bytes),
+            Row::Sketch(backend) => backend.record(key, bytes),
         }
     }
 
@@ -782,122 +691,19 @@ impl<D: ThresholdDetector> Engine<D> {
     /// key id, rates converted with the exact arithmetic of the batch
     /// matrix) and classify it.
     fn seal_interval(&mut self, secs: f64) -> IntervalOutcome {
-        match self {
-            Engine::Serial {
-                classifier,
-                state,
-                snapshot,
-            } => {
-                state.seal_into(secs, snapshot);
-                classifier.observe(snapshot)
-            }
-            Engine::Sketch {
-                classifier,
-                backend,
-                snapshot,
-            } => {
-                backend.seal_into(secs, snapshot);
-                classifier.observe(snapshot)
-            }
-            Engine::Sharded(engine) => engine.seal_interval(),
+        match &mut self.row {
+            Row::Exact(row) => row.seal_into(secs, &mut self.snapshot),
+            Row::Sketch(backend) => backend.seal_into(secs, &mut self.snapshot),
         }
+        self.classifier.observe(&self.snapshot)
     }
 
-    /// Whether the open interval holds any attributed traffic.
-    fn has_open_traffic(&self) -> bool {
-        match self {
-            Engine::Serial { state, .. } => state.has_traffic(),
-            Engine::Sketch { backend, .. } => backend.has_traffic(),
-            Engine::Sharded(engine) => engine.has_open_traffic(),
-        }
-    }
-
-    /// The recovery frontier: the open row as sorted `(key, bytes)`
-    /// pairs plus the (serial-form) classifier state. Sketch engines
-    /// have no exact row (their open state travels as the checkpoint's
-    /// sketch payload instead — see [`Engine::sketch_payload`]).
-    fn frontier(&self) -> (Vec<(KeyId, u64)>, ClassifierState) {
-        match self {
-            Engine::Serial { classifier, state, .. } => {
-                (state.open_row(), classifier.export_state())
-            }
-            Engine::Sketch { classifier, .. } => (Vec::new(), classifier.export_state()),
-            Engine::Sharded(engine) => engine.frontier(),
-        }
-    }
-
-    /// The checkpoint's version-3 tail: `(backend kind, serialized
-    /// sketch state)`; `None` on the exact paths (their images stay
-    /// format version 2).
-    fn sketch_payload(&self) -> Option<(String, Vec<u8>)> {
-        match self {
-            Engine::Sketch { backend, .. } => backend
-                .export_sketch()
-                .map(|payload| (backend.kind().to_string(), payload)),
-            _ => None,
-        }
-    }
-
-    /// Resident footprint of the open-interval state in bytes.
-    /// `n_keys` sizes the sharded engine's aggregate (its workers hold
-    /// one dense row slot per key between them).
-    fn state_bytes(&self, n_keys: usize) -> usize {
-        match self {
-            Engine::Serial { state, .. } => state.state_bytes(),
-            Engine::Sketch { backend, .. } => backend.state_bytes(),
-            Engine::Sharded(_) => n_keys * std::mem::size_of::<u64>(),
-        }
-    }
-
-    /// Which state backend seals the intervals.
-    fn state_kind(&self) -> &'static str {
-        match self {
-            Engine::Serial { .. } | Engine::Sharded(_) => "exact",
-            Engine::Sketch { backend, .. } => backend.kind(),
-        }
-    }
-
-    fn gamma(&self) -> f64 {
-        match self {
-            Engine::Serial { classifier, .. } | Engine::Sketch { classifier, .. } => {
-                classifier.gamma()
-            }
-            Engine::Sharded(engine) => engine.gamma(),
-        }
-    }
-
-    fn scheme(&self) -> Scheme {
-        match self {
-            Engine::Serial { classifier, .. } | Engine::Sketch { classifier, .. } => {
-                classifier.scheme()
-            }
-            Engine::Sharded(engine) => engine.scheme(),
-        }
-    }
-
-    fn detector_name(&self) -> String {
-        match self {
-            Engine::Serial { classifier, .. } | Engine::Sketch { classifier, .. } => {
-                classifier.detector_name()
-            }
-            Engine::Sharded(engine) => engine.detector_name(),
-        }
-    }
-
-    fn tracked_keys(&self) -> usize {
-        match self {
-            Engine::Serial { classifier, .. } | Engine::Sketch { classifier, .. } => {
-                classifier.tracked_keys()
-            }
-            Engine::Sharded(engine) => engine.tracked_keys(),
-        }
-    }
-
-    /// Number of shard workers (0 = serial).
-    fn n_shards(&self) -> usize {
-        match self {
-            Engine::Serial { .. } | Engine::Sketch { .. } => 0,
-            Engine::Sharded(engine) => engine.n_shards(),
+    /// The row's off-hot-path surface (traffic check, checkpoint
+    /// frontier, footprint), through the shared backend trait.
+    fn state(&self) -> &dyn StateBackend {
+        match &self.row {
+            Row::Exact(row) => row,
+            Row::Sketch(backend) => backend.as_ref(),
         }
     }
 }
@@ -1224,18 +1030,16 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     pub(crate) fn export_checkpoint(&self) -> Checkpoint {
         let key_routes = self.key_alloc.key_routes();
         debug_assert_eq!(key_routes.len(), self.keys.len());
-        // Sharded engines merge their workers' rows and states back
-        // into the serial form here, so the checkpoint layout (and its
-        // format v2 fingerprint) is independent of the shard count.
-        let (row, state) = self.engine.frontier();
+        let classifier = &self.engine.classifier;
+        let state = self.engine.state();
         Checkpoint {
             config: CheckpointConfig {
                 interval_secs: self.interval_secs,
                 start_unix: self.start_unix,
                 n_intervals: self.n_intervals.map(|n| n as u64),
-                gamma: self.engine.gamma(),
-                scheme: self.engine.scheme(),
-                detector: self.engine.detector_name(),
+                gamma: classifier.gamma(),
+                scheme: classifier.scheme(),
+                detector: classifier.detector_name(),
                 n_routes: self.table.id_space() as u64,
                 generation: self.table.generation(),
             },
@@ -1247,9 +1051,14 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
                 .zip(&self.keys)
                 .map(|(&route, &prefix)| (route, prefix))
                 .collect(),
-            row,
-            state,
-            sketch: self.engine.sketch_payload(),
+            // Sketches seal no exact row (an empty one here); their
+            // open state travels as the version-3 tail instead, which
+            // the exact row leaves out (its images stay version 2).
+            row: state.open_row(),
+            state: classifier.export_state(),
+            sketch: state
+                .export_sketch()
+                .map(|payload| (state.kind().to_string(), payload)),
         }
     }
 
@@ -1267,7 +1076,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
                 }
             }
             None => {
-                if self.engine.has_open_traffic() {
+                if self.engine.state().has_traffic() {
                     self.seal()?;
                 }
             }
@@ -1282,8 +1091,8 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             generation: self.table.generation(),
             route_updates_applied: self.next_update as u64,
             distinct_keys: self.keys.len(),
-            state_bytes: self.engine.state_bytes(self.keys.len()),
-            state_backend: self.engine.state_kind(),
+            state_bytes: self.engine.state().state_bytes(),
+            state_backend: self.engine.state().kind(),
             keys: self.keys,
         })
     }
@@ -1313,13 +1122,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
 
     /// Keys currently holding classifier window state.
     pub fn tracked_keys(&self) -> usize {
-        self.engine.tracked_keys()
-    }
-
-    /// Number of shard workers the online path runs on (0 = serial,
-    /// everything inline on the pipeline thread).
-    pub fn n_shards(&self) -> usize {
-        self.engine.n_shards()
+        self.engine.classifier.tracked_keys()
     }
 }
 
@@ -1397,14 +1200,6 @@ mod tests {
     }
 
     fn run_pipeline(metas: Vec<PacketMeta>, scheme: Scheme) -> (Vec<crate::CollectedInterval>, PipelineReport) {
-        run_pipeline_sharded(metas, scheme, 0)
-    }
-
-    fn run_pipeline_sharded(
-        metas: Vec<PacketMeta>,
-        scheme: Scheme,
-        shards: usize,
-    ) -> (Vec<crate::CollectedInterval>, PipelineReport) {
         let t = table();
         let collector = Collector::new();
         let mut p = PipelineBuilder::new()
@@ -1415,7 +1210,6 @@ mod tests {
             .detector(ConstantLoadDetector::new(0.8))
             .gamma(0.9)
             .scheme(scheme)
-            .shards(shards)
             .sink(collector.sink())
             .build();
         p.run(MetaSource::new(metas)).expect("run");
@@ -1452,93 +1246,6 @@ mod tests {
                 assert_eq!(o.elephant_load.to_bits(), batch.elephant_load[n].to_bits());
                 assert_eq!(o.total_load.to_bits(), batch.total_load[n].to_bits());
                 assert_eq!(got.interval_start_unix, 1000 + n as u64 * 10);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_matches_serial_bit_for_bit() {
-        for scheme in [
-            Scheme::SingleFeature,
-            Scheme::LatentHeat { window: 2 },
-            Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
-        ] {
-            let (serial, serial_report) = run_pipeline(stream(), scheme);
-            for shards in [1, 2, 4, 7] {
-                let (sharded, report) = run_pipeline_sharded(stream(), scheme, shards);
-                assert_eq!(sharded.len(), serial.len(), "{scheme:?} shards={shards}");
-                for (s, g) in serial.iter().zip(&sharded) {
-                    let (a, b) = (&s.outcome, &g.outcome);
-                    assert_eq!(a.interval, b.interval);
-                    assert_eq!(a.elephants, b.elephants, "{scheme:?} shards={shards}");
-                    assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
-                    assert_eq!(a.elephant_load.to_bits(), b.elephant_load.to_bits());
-                    assert_eq!(a.total_load.to_bits(), b.total_load.to_bits());
-                }
-                assert_eq!(report.stats, serial_report.stats);
-                assert_eq!(report.keys, serial_report.keys);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_checkpoint_bytes_equal_serial_and_cross_resume() {
-        // The same prefix of the stream, consumed serially and sharded,
-        // must export byte-identical checkpoints (shard count is not
-        // part of the recovery frontier) — and either checkpoint must
-        // resume under either engine to the identical tail.
-        let metas = stream();
-        let scheme = Scheme::LatentHeat { window: 2 };
-        let split = 4; // mid-stream, with the open interval non-empty
-        let t = table();
-        let build = |shards: usize| {
-            PipelineBuilder::new()
-                .table(&t)
-                .interval_secs(10)
-                .start_unix(1000)
-                .n_intervals(3)
-                .scheme(scheme)
-                .shards(shards)
-                .build()
-        };
-        let export = |shards: usize| {
-            let mut p = build(shards);
-            p.observe_chunk(&metas[..split]).unwrap();
-            let mut bytes = Vec::new();
-            p.checkpoint(&mut bytes).unwrap();
-            bytes
-        };
-        let serial_ckpt = export(0);
-        for shards in [1, 2, 4, 7] {
-            assert_eq!(export(shards), serial_ckpt, "checkpoint bytes, shards={shards}");
-        }
-        // Reference: the serial run over the whole stream.
-        let (reference, _) = run_pipeline(metas.clone(), scheme);
-        let ckpt = Checkpoint::read_from(&mut serial_ckpt.as_slice()).unwrap();
-        for shards in [0, 1, 2, 4, 7] {
-            let collector = Collector::new();
-            let mut p = PipelineBuilder::new()
-                .table(&t)
-                .interval_secs(10)
-                .start_unix(1000)
-                .n_intervals(3)
-                .scheme(scheme)
-                .shards(shards)
-                .sink(collector.sink())
-                .resume(&ckpt)
-                .unwrap();
-            p.observe_chunk(&metas[split..]).unwrap();
-            let report = p.finish().unwrap();
-            let resumed = collector.take();
-            // The resumed run seals only the intervals after the split.
-            assert_eq!(report.intervals, 3);
-            assert_eq!(resumed.len(), 3, "shards={shards}");
-            for (s, g) in reference.iter().zip(&resumed) {
-                let (a, b) = (&s.outcome, &g.outcome);
-                assert_eq!(a.elephants, b.elephants, "resume shards={shards}");
-                assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
-                assert_eq!(a.elephant_load.to_bits(), b.elephant_load.to_bits());
-                assert_eq!(a.total_load.to_bits(), b.total_load.to_bits());
             }
         }
     }

@@ -9,11 +9,6 @@
 //! * `eleph all` — the full refresh, sharing expensive builds;
 //! * `eleph run (--pcap FILE | --synth)` — stream packets through the
 //!   [`eleph_pipeline`] builder and emit per-interval JSONL.
-//!
-//! The pre-PR-4 one-binary-per-experiment entry points
-//! (`fig1a`, `table1`, …) still exist as thin shims over this module —
-//! same parsing, same experiment functions, byte-identical output —
-//! and announce their deprecation in `--help`.
 
 use std::io;
 
@@ -56,8 +51,7 @@ impl Default for CommonOpts {
 ///
 /// # Panics
 ///
-/// Panics on unknown arguments or unparsable values, with the same
-/// messages the legacy per-experiment binaries used.
+/// Panics on unknown arguments or unparsable values.
 pub fn parse_common(args: &[String]) -> CommonOpts {
     let mut opts = CommonOpts::default();
     let mut i = 0;
@@ -77,9 +71,8 @@ pub fn parse_common(args: &[String]) -> CommonOpts {
     opts
 }
 
-/// Run one experiment by id and return its rendered report — the single
-/// code path behind both `eleph <id>` and the legacy shim binaries, so
-/// their stdout cannot diverge.
+/// Run one experiment by id and return its rendered report — the code
+/// path behind `eleph <id>` and `eleph ablation --which <name>`.
 pub fn render_experiment(id: &str, opts: CommonOpts) -> io::Result<String> {
     let CommonOpts { scale, seed } = opts;
     Ok(match id {
@@ -110,8 +103,7 @@ pub fn render_experiment(id: &str, opts: CommonOpts) -> io::Result<String> {
 
 /// Run every experiment, sharing the expensive builds (the Figure 1
 /// dataset feeds the three panels plus tables 1–3; one west-coast lab
-/// build feeds all four ablations) — the `eleph all` subcommand and the
-/// legacy `all_experiments` binary.
+/// build feeds all four ablations) — the `eleph all` subcommand.
 pub fn render_all(opts: CommonOpts) -> io::Result<String> {
     let CommonOpts { scale, seed } = opts;
     let mut out = String::new();
@@ -198,17 +190,11 @@ RUN OPTIONS (eleph run):
     --scheme S                 latent | single | hysteresis (default latent)
     --window N                 latent-heat window (default 12)
     --enter F / --exit F       hysteresis thresholds (default 1.2 / 0.6)
-    --shards N                 partition the online path (byte rows +
-                               classifier state) over N worker threads
-                               keyed by prefix id; output and checkpoints
-                               are bit-identical to serial for every N
-                               (default 0 = serial, inline)
     --state B                  state backend sealing each interval:
                                exact (default; the dense byte row,
                                bit-identical to every earlier release)
                                or a fixed-budget sketch — spacesaving |
-                               cmrow | bloom (deterministic, approximate;
-                               incompatible with --shards)
+                               cmrow | bloom (deterministic, approximate)
     --state-budget BYTES       sketch memory budget (default 1048576)
     --ingest-workers N         decode the pcap on a zero-copy async
                                stage: a framer thread scans record spans
@@ -312,34 +298,6 @@ pub fn eleph_main() -> io::Result<()> {
     }
 }
 
-/// Entry point for the legacy one-experiment binaries: deprecation
-/// notice on `--help`, otherwise the exact `eleph` code path.
-pub fn legacy_shim(id: &str) -> io::Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        let replacement = match id {
-            "all" => "eleph all".to_string(),
-            _ if id.starts_with("ablation_") => {
-                format!("eleph ablation --which {}", &id["ablation_".len()..])
-            }
-            _ => format!("eleph {id}"),
-        };
-        println!(
-            "deprecated: this binary is a compatibility shim and will be removed \
-             next release; use `{replacement}` instead.\n\n\
-             usage: {id} [--scale F] [--seed N]"
-        );
-        return Ok(());
-    }
-    let opts = parse_common(&args);
-    if id == "all" {
-        print!("{}", render_all(opts)?);
-    } else {
-        print!("{}", render_experiment(id, opts)?);
-    }
-    Ok(())
-}
-
 /// Pop `flag VALUE` out of an argument list, returning the value and
 /// the remaining arguments.
 fn take_flag_value(args: &[String], flag: &str) -> Option<(String, Vec<String>)> {
@@ -390,8 +348,6 @@ pub struct RunOpts {
     pub enter: f64,
     /// Hysteresis exit multiplier.
     pub exit: f64,
-    /// Online-path shard workers (0 = serial, inline).
-    pub shards: usize,
     /// State backend sealing each interval: "exact", "spacesaving",
     /// "cmrow" or "bloom".
     pub state: String,
@@ -439,7 +395,6 @@ impl Default for RunOpts {
             window: PAPER_LATENT_WINDOW,
             enter: 1.2,
             exit: 0.6,
-            shards: 0,
             state: "exact".to_string(),
             state_budget: 1_048_576,
             ingest_workers: 0,
@@ -503,9 +458,6 @@ impl RunOpts {
                 }
                 "--enter" => o.enter = value(&mut i, args).parse().expect("--enter takes a float"),
                 "--exit" => o.exit = value(&mut i, args).parse().expect("--exit takes a float"),
-                "--shards" => {
-                    o.shards = value(&mut i, args).parse().expect("--shards takes a count")
-                }
                 "--state" => o.state = value(&mut i, args),
                 "--state-budget" => {
                     o.state_budget =
@@ -579,12 +531,6 @@ impl RunOpts {
             o.ingest_workers == 0 || !o.wants_faults(),
             "--ingest-workers is incompatible with --fault-* (fault injection \
              mutates records inline on the serial reader)"
-        );
-        assert!(
-            o.state == "exact" || o.shards == 0,
-            "--state {} is incompatible with --shards (sketch backends run serially; \
-             their state does not scale with keys, so there is no row to partition)",
-            o.state
         );
         // Fail on an unknown backend name at parse time, not mid-run.
         let _ = o.make_state();
@@ -730,7 +676,6 @@ pub fn run_streaming(args: &[String]) -> io::Result<()> {
         .detector(opts.make_detector())
         .gamma(opts.gamma)
         .scheme(opts.make_scheme())
-        .shards(opts.shards)
         .state_backend(opts.make_state());
     builder = match &live {
         Some(l) => builder.live(l).route_updates(updates),
@@ -880,7 +825,7 @@ fn summary_json(
          \"attributed\":{},\"attributed_bytes\":{},\"unroutable\":{},\
          \"out_of_window\":{},\"malformed\":{},\"late\":{},\"conserved\":{},\
          \"far_future_streak\":{},\"generation\":{},\"route_updates\":{},\"resumed\":{},\
-         \"shards\":{},\"state\":\"{}\",\"distinct_keys\":{},\"state_bytes\":{},\
+         \"state\":\"{}\",\"distinct_keys\":{},\"state_bytes\":{},\
          \"elapsed_secs\":{:.6},\"throughput_bytes_per_sec\":{:.1},\
          \"packets_per_sec\":{:.1}",
         report.intervals,
@@ -897,7 +842,6 @@ fn summary_json(
         report.generation,
         report.route_updates_applied,
         resumed,
-        opts.shards,
         report.state_backend,
         report.distinct_keys,
         report.state_bytes,
@@ -907,8 +851,9 @@ fn summary_json(
     );
     if let Some(dir) = &opts.checkpoint_dir {
         line.push_str(&format!(
-            ",\"checkpoint_dir\":{:?},\"checkpoint_every\":{}",
-            dir, opts.checkpoint_every
+            ",\"checkpoint_dir\":{},\"checkpoint_every\":{}",
+            json_string(dir),
+            opts.checkpoint_every
         ));
     }
     if let Some(f) = fault_stats {
@@ -919,6 +864,28 @@ fn summary_json(
     }
     line.push_str("}}");
     line
+}
+
+/// `s` as a JSON string literal (RFC 8259): quotes, backslashes and
+/// every control character escaped, all other characters verbatim.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0c}' => out.push_str("\\f"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Options of `eleph churn` — a deterministic route-update stream
@@ -1109,8 +1076,9 @@ mod tests {
     use super::*;
 
     /// A minimal strict JSON validator (objects, arrays, strings,
-    /// numbers, booleans, null) — `inf`, `NaN`, trailing garbage and
-    /// malformed literals all fail. Hand-rolled because the summary's
+    /// numbers, booleans, null) — `inf`, `NaN`, trailing garbage,
+    /// malformed literals, escapes outside RFC 8259 and raw control
+    /// bytes inside strings all fail. Hand-rolled because the summary's
     /// whole bug class was "not actually JSON", so the test must not
     /// share the emitter's assumptions.
     fn parse_json(s: &str) -> Result<(), String> {
@@ -1190,7 +1158,17 @@ mod tests {
                         *at += 1;
                         return Ok(());
                     }
-                    b'\\' => *at += 2,
+                    b'\\' => match b.get(*at + 1) {
+                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *at += 2,
+                        Some(b'u')
+                            if b.get(*at + 2..*at + 6)
+                                .is_some_and(|hex| hex.iter().all(u8::is_ascii_hexdigit)) =>
+                        {
+                            *at += 6
+                        }
+                        _ => return Err(format!("bad escape at {at}")),
+                    },
+                    c if c < 0x20 => return Err(format!("raw control byte {c:#04x} at {at}")),
                     _ => *at += 1,
                 }
             }
@@ -1281,6 +1259,16 @@ mod tests {
             let line = summary_json(&opts, &report(), false, None, elapsed);
             parse_json(&line).unwrap_or_else(|e| panic!("elapsed={elapsed}: {e}\n{line}"));
         }
+        // A checkpoint directory name is user input: control characters
+        // and quotes must come out as JSON escapes, not Rust `Debug`
+        // ones (`\u{1b}` is not JSON).
+        let odd = RunOpts {
+            checkpoint_dir: Some("ck\x1bpt \"dir\"\\\n".to_string()),
+            ..opts.clone()
+        };
+        let line = summary_json(&odd, &report(), false, None, 1.5);
+        parse_json(&line).unwrap_or_else(|e| panic!("odd checkpoint dir: {e}\n{line}"));
+        assert!(line.contains(r#""checkpoint_dir":"ck\u001bpt \"dir\"\\\n""#), "{line}");
         let line = summary_json(&opts, &report(), false, None, 0.0);
         assert!(line.contains("\"throughput_bytes_per_sec\":0.0"));
         assert!(line.contains("\"packets_per_sec\":0.0"));
@@ -1295,6 +1283,11 @@ mod tests {
         assert!(parse_json("{\"a\":NaN}").is_err());
         assert!(parse_json("{\"a\":1.}").is_err());
         assert!(parse_json("{\"a\":1}x").is_err());
+        assert!(parse_json("{\"a\":\"\\u{1b}\"}").is_err(), "Rust Debug escape");
+        assert!(parse_json("{\"a\":\"\\x\"}").is_err(), "unknown escape");
+        assert!(parse_json("{\"a\":\"\\u12\"}").is_err(), "short \\u escape");
+        assert!(parse_json("{\"a\":\"\x1b\"}").is_err(), "raw control byte");
+        assert!(parse_json("{\"a\":\"\\u001b\\\"\\/\\b\\f\\n\\r\\t\"}").is_ok());
         assert!(parse_json("{\"a\":{\"b\":[1,2.5,true,null,\"s\"]}}").is_ok());
     }
 }

@@ -202,34 +202,7 @@ fn main() {
     );
     assert!(churned_report.stats.is_conserved());
 
-    // 7. Multi-core. `.shards(n)` partitions the online path by flow
-    //    key across n worker threads — per-shard byte rows and
-    //    classifier partitions, merged at every seal in ascending key
-    //    order — so the output is bit-identical to the serial path at
-    //    any shard count. Sharding is a throughput knob, never a
-    //    measurement change; checkpoints don't record the shard count,
-    //    so a snapshot taken at one count resumes at any other.
-    //    (`eleph run --shards N` is this path from the CLI.)
-    let sharded_collector = Collector::new();
-    let mut sharded = monitor().shards(4).sink(sharded_collector.sink()).build();
-    sharded.run(TraceSource::new(&trace)).expect("sharded run");
-    sharded.finish().expect("sharded finish");
-    let sharded_outcomes = sharded_collector.take();
-    assert_eq!(sharded_outcomes.len(), outcomes.len());
-    for (s, w) in sharded_outcomes.iter().zip(&outcomes) {
-        assert_eq!(
-            s.outcome.threshold.to_bits(),
-            w.outcome.threshold.to_bits(),
-            "sharded threshold must match serial to the last bit",
-        );
-        assert_eq!(s.outcome.elephants, w.outcome.elephants);
-    }
-    println!(
-        "\nsharded: 4 worker shards classified all {} intervals bit-identically to serial",
-        sharded_outcomes.len(),
-    );
-
-    // 8. Approximate state. When the key space outgrows a dense
+    // 7. Approximate state. When the key space outgrows a dense
     //    per-key row, `.state_backend(..)` swaps it for a fixed-budget
     //    sketch — here Space-Saving under 1 MiB — while key
     //    attribution, interval geometry, and the whole detection stack

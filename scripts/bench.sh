@@ -15,9 +15,9 @@
 # plus the usual human-readable bench lines on stdout.
 #
 # The "machine" header (CPU model, core count, kernel) is what makes
-# cross-commit comparison honest: numbers from different machines — or
-# multi-shard arms run on a single-core box — are not comparable, and
-# the header says so without relying on anyone's memory.
+# cross-commit comparison honest: numbers from different machines are
+# not comparable, and the header says so without relying on anyone's
+# memory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +34,7 @@ if [ ! -s "$tmp" ]; then
 fi
 
 # Machine context: enough to judge whether two BENCH files are
-# comparable (and whether parallel arms had cores to run on).
+# comparable (and whether the pooled-ingest arm had cores to run on).
 cpu_model=$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || true)
 [ -n "${cpu_model:-}" ] || cpu_model=$(uname -m)
 cores=$(nproc 2>/dev/null || echo 1)

@@ -16,9 +16,7 @@
 #      dependents) so the gated code cannot rot unbuilt;
 #   5. bench compilation: the criterion harnesses must at least build;
 #   6. executables: examples build and the packet-path ones smoke-run,
-#      `eleph run` streams a tiny synthetic workload to JSONL, and the
-#      deprecated per-experiment shims stay byte-identical to their
-#      `eleph` subcommands (fig1a, table1);
+#      and `eleph run` streams a tiny synthetic workload to JSONL;
 #   7. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
 #      and resumed with `--resume`; the recovered JSONL must be
 #      byte-identical to an uninterrupted reference run (no duplicated,
@@ -31,19 +29,14 @@
 #      replaying that schedule mid-stream, and the two JSONL outputs
 #      must be byte-for-byte identical (update replay is a function of
 #      packet timestamps, never of IO chunking or wall-clock);
-#   9. shard equivalence: the same capture streamed serially, at
-#      `--shards 1` and at `--shards 4` must produce byte-for-byte
-#      identical JSONL (sharding is a throughput knob, never a
-#      measurement change), and the sharded proptest suite is re-run
-#      single-threaded (`RUST_TEST_THREADS=1`) so worker/test-harness
-#      interleavings cannot mask an ordering bug;
-#  10. sketch tier: every state backend (exact, spacesaving, cmrow,
+#   9. sketch tier: every state backend (exact, spacesaving, cmrow,
 #      bloom) streams the same seeded synthetic capture twice and the
 #      two JSONL outputs must be byte-identical (sketches are
 #      deterministic functions of the stream, never of hashing luck or
-#      allocation order), and `eleph sketch` runs the exact-oracle
-#      accuracy harness end to end, asserting recall >= 0.95 at the
-#      default budget on the west lab scenario.
+#      allocation order), `--state exact` must be byte-identical to a
+#      default-path run of the same capture, and `eleph sketch` runs
+#      the exact-oracle accuracy harness end to end, asserting recall
+#      >= 0.95 at the default budget on the west lab scenario.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -128,23 +121,9 @@ grep -q TIMING <(sed -E "$strip_timing" "$tmpdir/churn1.summary") \
 grep -q '"route_updates":0' "$tmpdir/churn1.summary" \
     && { echo "churn determinism: no update batch was applied mid-stream" >&2; exit 1; }
 
-echo "== shard equivalence: serial vs --shards 1 vs --shards 4, byte-for-byte JSONL =="
-shard_args=(run --synth --flows 500 --intervals 12 --interval-secs 20 --prefixes 2000)
-"$eleph" "${shard_args[@]}" --out "$tmpdir/shards0.jsonl" 2> /dev/null
-"$eleph" "${shard_args[@]}" --shards 1 --out "$tmpdir/shards1.jsonl" 2> "$tmpdir/shards1.summary"
-"$eleph" "${shard_args[@]}" --shards 4 --out "$tmpdir/shards4.jsonl" 2> "$tmpdir/shards4.summary"
-cmp "$tmpdir/shards0.jsonl" "$tmpdir/shards1.jsonl" \
-    || { echo "shard equivalence: --shards 1 diverges from serial" >&2; exit 1; }
-cmp "$tmpdir/shards0.jsonl" "$tmpdir/shards4.jsonl" \
-    || { echo "shard equivalence: --shards 4 diverges from serial" >&2; exit 1; }
-grep -q '"shards":4' "$tmpdir/shards4.summary" \
-    || { echo "shard equivalence: summary does not record the shard count" >&2; exit 1; }
-
-echo "== shard equivalence: proptests single-threaded (RUST_TEST_THREADS=1) =="
-RUST_TEST_THREADS=1 cargo test -q -p eleph-tests --test sharded_equivalence
-
 echo "== sketch tier: per-backend determinism, byte-for-byte JSONL =="
 sketch_args=(run --synth --flows 500 --intervals 12 --interval-secs 20 --prefixes 2000)
+"$eleph" "${sketch_args[@]}" --out "$tmpdir/state_default.jsonl" 2> /dev/null
 for backend in exact spacesaving cmrow bloom; do
     "$eleph" "${sketch_args[@]}" --state "$backend" \
         --out "$tmpdir/state_${backend}_a.jsonl" 2> /dev/null
@@ -155,7 +134,7 @@ for backend in exact spacesaving cmrow bloom; do
     grep -q "\"state\":\"$backend\"" "$tmpdir/state_${backend}.summary" \
         || { echo "sketch tier: summary does not record --state $backend" >&2; exit 1; }
 done
-cmp "$tmpdir/state_exact_a.jsonl" "$tmpdir/shards0.jsonl" 2> /dev/null \
+cmp "$tmpdir/state_exact_a.jsonl" "$tmpdir/state_default.jsonl" \
     || { echo "sketch tier: --state exact diverges from the default path" >&2; exit 1; }
 
 echo "== sketch tier: exact-oracle accuracy harness (recall >= 0.95 at default budget) =="
@@ -168,13 +147,5 @@ grep eleph_sketch "$tmpdir/sketch.summary" | tr ',{' '\n\n' \
       END { if (!found) { print "sketch tier: no min_recall in summary" > "/dev/stderr"; exit 1 } }'
 grep -q '"exact_bit_identical":true' "$tmpdir/sketch.summary" \
     || { echo "sketch tier: exact pin missing from harness summary" >&2; exit 1; }
-
-echo "== legacy shims byte-identical to eleph subcommands (fig1a, table1) =="
-cargo run -q --release -p eleph-report --bin eleph -- fig1a --scale 0.01 --seed 5 > "$tmpdir/eleph_fig1a"
-cargo run -q --release -p eleph-report --bin fig1a -- --scale 0.01 --seed 5 > "$tmpdir/shim_fig1a"
-diff "$tmpdir/eleph_fig1a" "$tmpdir/shim_fig1a"
-cargo run -q --release -p eleph-report --bin eleph -- table1 --scale 0.01 --seed 5 > "$tmpdir/eleph_table1"
-cargo run -q --release -p eleph-report --bin table1 -- --scale 0.01 --seed 5 > "$tmpdir/shim_table1"
-diff "$tmpdir/eleph_table1" "$tmpdir/shim_table1"
 
 echo "ci.sh: all gates green"

@@ -13,13 +13,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use eleph_bgp::synth::{self, SynthConfig};
-use eleph_bgp::{BgpTable, LiveBgpTable, RouteUpdate, UpdateBatch};
+use eleph_bgp::{BgpTable, LiveBgpTable, Origin, PeerClass, RouteEntry, RouteUpdate, UpdateBatch};
 use eleph_core::{ConstantLoadDetector, Scheme};
 use eleph_packet::pcap::PcapWriter;
-use eleph_packet::{LinkType, PacketBuilder};
+use eleph_packet::{IpProtocol, LinkType, PacketBuilder, PacketMeta};
 use eleph_pipeline::{
-    skip_offered, Checkpoint, CheckpointError, Checkpointer, CollectedInterval, Collector,
-    PcapSource, PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink, CHECKPOINT_FILE,
+    crc32, skip_offered, Checkpoint, CheckpointError, Checkpointer, CollectedInterval, Collector,
+    PcapSource, PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink,
+    StateBackendConfig, CHECKPOINT_FILE,
 };
 use eleph_trace::{CrashPoint, CrashSwitch, PacketSynth, RateTrace, WorkloadConfig};
 use proptest::prelude::*;
@@ -531,4 +532,76 @@ proptest! {
         }
         fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A fixed three-route table and a hand-built stream that crosses three
+/// interval boundaries (T = 10 s from t = 1000): four keys, an
+/// unroutable packet, an idle interval and traffic left in the open
+/// interval. Deliberately independent of the synthetic generators, so
+/// the golden values below move only when the checkpoint image does.
+fn golden_stream() -> (BgpTable, Vec<PacketMeta>) {
+    let route = |prefix: &str, hop: u8, peer_class| RouteEntry {
+        prefix: prefix.parse().expect("prefix"),
+        next_hop: Ipv4Addr::new(192, 0, 2, hop),
+        as_path: vec![u32::from(hop)],
+        origin: Origin::Igp,
+        peer_class,
+    };
+    let table = BgpTable::from_entries(vec![
+        route("10.0.0.0/8", 1, PeerClass::Tier1),
+        route("10.1.0.0/16", 2, PeerClass::Tier2),
+        route("172.16.0.0/12", 3, PeerClass::Tier2),
+        route("192.168.4.0/24", 4, PeerClass::Tier1),
+    ]);
+    let meta = |dst: [u8; 4], ts_s: u64, wire_len: u32| PacketMeta {
+        ts_ns: ts_s * 1_000_000_000,
+        src: Ipv4Addr::new(198, 18, 0, 1),
+        dst: Ipv4Addr::from(dst),
+        proto: IpProtocol::Udp,
+        src_port: 9,
+        dst_port: 53,
+        wire_len,
+    };
+    let stream = vec![
+        meta([10, 1, 0, 1], 1000, 1500),
+        meta([10, 2, 0, 1], 1001, 700),
+        meta([172, 16, 5, 5], 1003, 40),
+        meta([203, 0, 113, 1], 1004, 500), // unroutable
+        meta([10, 1, 0, 9], 1008, 1200),
+        meta([192, 168, 4, 7], 1012, 9000),
+        meta([10, 1, 0, 1], 1015, 300),
+        // interval 2 (1020..1030): silence
+        meta([172, 16, 5, 5], 1031, 4000),
+        meta([10, 2, 0, 1], 1034, 60),
+    ];
+    (table, stream)
+}
+
+/// The on-disk checkpoint format, pinned: the image after three seals
+/// of [`golden_stream`] must keep its exact length and CRC-32, once for
+/// the exact path (format version 2) and once for a sketch backend
+/// (format version 3). The round-trip tests above would pass a change
+/// that altered writer and reader symmetrically; this one would not.
+#[test]
+fn checkpoint_image_bytes_are_pinned() {
+    let (table, stream) = golden_stream();
+    let image = |state: StateBackendConfig| {
+        let mut pipeline = builder(&table, Scheme::LatentHeat { window: 2 }, 10, 1000, 5)
+            .state_backend(state)
+            .build();
+        pipeline.observe_chunk(&stream).expect("observe");
+        assert_eq!(pipeline.intervals_sealed(), 3);
+        let mut bytes = Vec::new();
+        pipeline.checkpoint(&mut bytes).expect("checkpoint");
+        bytes
+    };
+    let exact = image(StateBackendConfig::Exact);
+    let sketch = image(StateBackendConfig::SpaceSaving { budget_bytes: 4096 });
+    assert_eq!(exact[8..12], 2u32.to_le_bytes(), "exact images are format v2");
+    assert_eq!(sketch[8..12], 3u32.to_le_bytes(), "sketch images are format v3");
+    assert_eq!(
+        (exact.len(), crc32(&exact), sketch.len(), crc32(&sketch)),
+        (377, 0x86CC_B43D, 444, 0x64DA_1532),
+        "checkpoint image changed: (exact len, exact crc, sketch len, sketch crc)"
+    );
 }

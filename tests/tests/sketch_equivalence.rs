@@ -1,9 +1,9 @@
 //! PR 9's load-bearing properties for the sketch state-backend tier:
 //!
 //! * `--state exact` is **byte-identical** to the pre-PR pipeline —
-//!   same outcomes by `to_bits`, same JSONL, same checkpoint bytes —
-//!   at every shard count (the explicit backend selection is the same
-//!   code path as the default, not a parallel implementation);
+//!   same outcomes by `to_bits`, same JSONL, same checkpoint bytes (the
+//!   explicit backend selection is the same code path as the default,
+//!   not a parallel implementation);
 //! * Space-Saving's classical error bound (any key's count error is at
 //!   most `total / k`) holds on arbitrary streams, pinned by proptest;
 //! * sketch state checkpoints (format v3) round-trip: a run killed
@@ -32,9 +32,6 @@ use proptest::prelude::*;
 
 const BETA: f64 = 0.8;
 const GAMMA: f64 = 0.9;
-
-/// Shard counts the exact-backend identity is pinned at (0 = serial).
-const SHARD_COUNTS: [usize; 3] = [0, 1, 4];
 
 /// A `Write` handle the test can read back after the pipeline consumed
 /// the sink by value.
@@ -99,7 +96,6 @@ fn run_with(
     t: u64,
     start: u64,
     n: usize,
-    shards: usize,
     state: StateBackendConfig,
     checkpoint_after: Option<usize>,
 ) -> RunOutput {
@@ -113,7 +109,6 @@ fn run_with(
         .detector(ConstantLoadDetector::new(BETA))
         .gamma(GAMMA)
         .scheme(Scheme::LatentHeat { window: 12 })
-        .shards(shards)
         .state_backend(state)
         .sink(collector.sink())
         .sink(JsonlSink::new(jsonl.clone()))
@@ -174,68 +169,49 @@ fn assert_outcomes_identical(got: &RunOutput, want: &RunOutput, context: &str) {
 }
 
 // ---------------------------------------------------------------------
-// --state exact ≡ the pre-PR pipeline, at every shard count
+// --state exact ≡ the pre-PR pipeline
 // ---------------------------------------------------------------------
 
 #[test]
-fn exact_backend_is_byte_identical_to_default_at_every_shard_count() {
+fn exact_backend_is_byte_identical_to_default() {
     let (table, metas, t, start, n) = small_stream(11);
     let cut = metas.len() / 2;
-    for shards in SHARD_COUNTS {
-        // The pre-PR path: no state_backend call at all.
-        let collector = Collector::new();
-        let jsonl = SharedBuf::default();
-        let mut baseline = PipelineBuilder::new()
-            .table(&table)
-            .interval_secs(t)
-            .start_unix(start)
-            .n_intervals(n)
-            .detector(ConstantLoadDetector::new(BETA))
-            .gamma(GAMMA)
-            .scheme(Scheme::LatentHeat { window: 12 })
-            .shards(shards)
-            .sink(collector.sink())
-            .sink(JsonlSink::new(jsonl.clone()))
-            .build();
-        baseline.observe_chunk(&metas[..cut]).expect("first half");
-        let mut baseline_ckpt = Vec::new();
-        baseline.checkpoint(&mut baseline_ckpt).expect("checkpoint");
-        baseline.observe_chunk(&metas[cut..]).expect("second half");
-        let report = baseline.finish().expect("finish");
-        let want = RunOutput {
-            outcomes: collector.take(),
-            report,
-            jsonl: jsonl.take(),
-            mid_checkpoint: Some(baseline_ckpt),
-        };
+    // The pre-PR path: no state_backend call at all.
+    let collector = Collector::new();
+    let jsonl = SharedBuf::default();
+    let mut baseline = PipelineBuilder::new()
+        .table(&table)
+        .interval_secs(t)
+        .start_unix(start)
+        .n_intervals(n)
+        .detector(ConstantLoadDetector::new(BETA))
+        .gamma(GAMMA)
+        .scheme(Scheme::LatentHeat { window: 12 })
+        .sink(collector.sink())
+        .sink(JsonlSink::new(jsonl.clone()))
+        .build();
+    baseline.observe_chunk(&metas[..cut]).expect("first half");
+    let mut baseline_ckpt = Vec::new();
+    baseline.checkpoint(&mut baseline_ckpt).expect("checkpoint");
+    baseline.observe_chunk(&metas[cut..]).expect("second half");
+    let report = baseline.finish().expect("finish");
+    let want = RunOutput {
+        outcomes: collector.take(),
+        report,
+        jsonl: jsonl.take(),
+        mid_checkpoint: Some(baseline_ckpt),
+    };
 
-        let got = run_with(
-            &table,
-            &metas,
-            t,
-            start,
-            n,
-            shards,
-            StateBackendConfig::Exact,
-            Some(cut),
-        );
-        let context = format!("--state exact vs default, shards={shards}");
-        assert_outcomes_identical(&got, &want, &context);
-        assert_eq!(
-            got.mid_checkpoint, want.mid_checkpoint,
-            "{context}: checkpoint bytes"
-        );
-        // An exact checkpoint stays on format v2: byte-compatible with
-        // every pre-PR snapshot.
-        let bytes = got.mid_checkpoint.as_ref().expect("mid checkpoint");
-        assert_eq!(&bytes[8..12], &2u32.to_le_bytes(), "{context}: version");
-        assert_eq!(got.report.state_backend, "exact", "{context}: backend label");
-        assert_eq!(
-            got.report.distinct_keys,
-            got.report.keys.len(),
-            "{context}: distinct keys"
-        );
-    }
+    let got = run_with(&table, &metas, t, start, n, StateBackendConfig::Exact, Some(cut));
+    let context = "--state exact vs default";
+    assert_outcomes_identical(&got, &want, context);
+    assert_eq!(got.mid_checkpoint, want.mid_checkpoint, "{context}: checkpoint bytes");
+    // An exact checkpoint stays on format v2: byte-compatible with
+    // every pre-PR snapshot.
+    let bytes = got.mid_checkpoint.as_ref().expect("mid checkpoint");
+    assert_eq!(&bytes[8..12], &2u32.to_le_bytes(), "{context}: version");
+    assert_eq!(got.report.state_backend, "exact", "{context}: backend label");
+    assert_eq!(got.report.distinct_keys, got.report.keys.len(), "{context}: distinct keys");
 }
 
 // ---------------------------------------------------------------------
@@ -291,8 +267,8 @@ fn sketch_checkpoint_resume_is_bit_identical_mid_stream() {
         StateBackendConfig::AdaptiveBloom { budget_bytes: 64 * 1024 },
     ] {
         let kind = state.kind();
-        let reference = run_with(&table, &metas, t, start, n, 0, state, None);
-        let interrupted = run_with(&table, &metas, t, start, n, 0, state, Some(cut));
+        let reference = run_with(&table, &metas, t, start, n, state, None);
+        let interrupted = run_with(&table, &metas, t, start, n, state, Some(cut));
         assert_outcomes_identical(
             &interrupted,
             &reference,
@@ -348,7 +324,7 @@ fn sketch_checkpoint_rejects_backend_and_budget_mismatch() {
     let (table, metas, t, start, n) = small_stream(31);
     let cut = metas.len() / 3;
     let state = StateBackendConfig::SpaceSaving { budget_bytes: 64 * 1024 };
-    let run = run_with(&table, &metas, t, start, n, 0, state, Some(cut));
+    let run = run_with(&table, &metas, t, start, n, state, Some(cut));
     let bytes = run.mid_checkpoint.expect("mid checkpoint");
     let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("well-formed checkpoint");
 
@@ -396,7 +372,7 @@ fn sketch_checkpoint_rejects_backend_and_budget_mismatch() {
 #[test]
 fn generous_budget_space_saving_is_bit_identical_to_exact() {
     let (table, metas, t, start, n) = small_stream(47);
-    let exact = run_with(&table, &metas, t, start, n, 0, StateBackendConfig::Exact, None);
+    let exact = run_with(&table, &metas, t, start, n, StateBackendConfig::Exact, None);
     // Capacity (budget / 64) far exceeds the distinct-key count, so no
     // counter is ever evicted and every count is exact.
     let ss = run_with(
@@ -405,7 +381,6 @@ fn generous_budget_space_saving_is_bit_identical_to_exact() {
         t,
         start,
         n,
-        0,
         StateBackendConfig::SpaceSaving { budget_bytes: 4 * 1024 * 1024 },
         None,
     );
@@ -420,12 +395,12 @@ fn generous_budget_space_saving_is_bit_identical_to_exact() {
 #[test]
 fn generous_budget_hashed_sketches_reach_full_recall() {
     let (table, metas, t, start, n) = small_stream(53);
-    let exact = run_with(&table, &metas, t, start, n, 0, StateBackendConfig::Exact, None);
+    let exact = run_with(&table, &metas, t, start, n, StateBackendConfig::Exact, None);
     for state in [
         StateBackendConfig::CountMinRow { budget_bytes: 4 * 1024 * 1024 },
         StateBackendConfig::AdaptiveBloom { budget_bytes: 4 * 1024 * 1024 },
     ] {
-        let approx = run_with(&table, &metas, t, start, n, 0, state, None);
+        let approx = run_with(&table, &metas, t, start, n, state, None);
         let mut acc = eleph_stats::SetAccuracy::new();
         for (g, w) in approx.outcomes.iter().zip(&exact.outcomes) {
             acc.observe(&w.outcome.elephants, &g.outcome.elephants, |_| 1.0);
@@ -442,24 +417,4 @@ fn generous_budget_hashed_sketches_reach_full_recall() {
             state.kind()
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// Sketches are serial: the shard split has no row to partition
-// ---------------------------------------------------------------------
-
-#[test]
-#[should_panic(expected = "incompatible with shards")]
-fn sketch_backend_with_shards_panics() {
-    let table = synth::generate(&SynthConfig {
-        n_prefixes: 200,
-        ..SynthConfig::default()
-    });
-    let _ = PipelineBuilder::new()
-        .table(&table)
-        .interval_secs(20)
-        .detector(ConstantLoadDetector::new(BETA))
-        .shards(2)
-        .state_backend(StateBackendConfig::SpaceSaving { budget_bytes: 4096 })
-        .build();
 }
