@@ -1,11 +1,11 @@
-//! Longest-prefix-match micro-benchmarks: the four table implementations
-//! on a backbone-sized RIB. Justifies the choice of the path-compressed
-//! trie as the pipeline default and the per-length map for lookup-heavy
-//! batch jobs.
+//! Longest-prefix-match micro-benchmarks on a backbone-sized RIB: the
+//! updatable RIB trie against the FIB snapshot every packet is
+//! attributed through, with the linear oracle for scale. Shows what the
+//! RIB/FIB split buys on the read path, and what building the FIB costs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use eleph_bench::bench_table;
-use eleph_net::{CompressedTrieLpm, FlatLpm, LinearLpm, Lpm, PerLengthLpm, Prefix, TrieLpm};
+use eleph_net::{CompressedTrieLpm, EpochLpm, LinearLpm, Lpm, Prefix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,90 +42,26 @@ fn bench_lookup(c: &mut Criterion) {
         })
     });
 
-    // The frozen flat-array read path the packet pipeline uses.
-    let flat = FlatLpm::from(&table);
-    group.bench_function("flat", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &q in &queries {
-                if flat.lookup(black_box(q)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    group.bench_function("flat_id_only", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &q in &queries {
-                if flat.lookup_id(black_box(q)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    // The attribution hot path materializes an id per address (the
-    // aggregator's route array), so the batch API's fair baseline is a
-    // per-address loop writing the same output array.
-    group.bench_function("flat_id_loop_into", |b| {
+    // The FIB read path: a pinned generation-0 snapshot. The attribution
+    // hot path materializes an id per address (the aggregator's route
+    // array), so the per-address loop writes the same output array as
+    // the batched form below.
+    let snap = EpochLpm::from_entries(entries.iter().copied()).pin();
+    group.bench_function("live_snapshot", |b| {
         let mut out = vec![None; queries.len()];
         b.iter(|| {
             for (o, &q) in out.iter_mut().zip(&queries) {
-                *o = flat.lookup_id(black_box(q));
+                *o = snap.lookup_id(black_box(q));
             }
             out.iter().map(|o| usize::from(o.is_some())).sum::<usize>()
         })
     });
-    // The batched form the chunked aggregation hot path uses: identical
-    // results to the flat_id_loop_into loop above, but the masked
-    // re-slice elides the per-lane stage-1 bounds check and the loop
-    // body carries no per-call overhead.
-    group.bench_function("flat_id_batched", |b| {
+    // The batched form the chunked aggregation hot path uses.
+    group.bench_function("live_snapshot_batched", |b| {
         let mut out = vec![None; queries.len()];
         b.iter(|| {
-            flat.lookup_many(black_box(&queries), &mut out);
+            snap.lookup_many(black_box(&queries), &mut out);
             out.iter().map(|o| usize::from(o.is_some())).sum::<usize>()
-        })
-    });
-    group.bench_function("flat_id_batched_raw", |b| {
-        let mut out = vec![0u32; queries.len()];
-        b.iter(|| {
-            flat.lookup_many_raw(black_box(&queries), &mut out);
-            out.iter().map(|&o| usize::from(o != 0)).sum::<usize>()
-        })
-    });
-
-    let mut trie = TrieLpm::new();
-    for (p, v) in &entries {
-        trie.insert(*p, *v);
-    }
-    group.bench_function("binary_trie", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &q in &queries {
-                if trie.lookup(black_box(q)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-
-    let mut perlen = PerLengthLpm::new();
-    for (p, v) in &entries {
-        perlen.insert(*p, *v);
-    }
-    group.bench_function("per_length_maps", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &q in &queries {
-                if perlen.lookup(black_box(q)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
         })
     });
 
@@ -148,7 +84,7 @@ fn bench_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_insert(c: &mut Criterion) {
+fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("lpm_build");
     group.sample_size(10);
     for n in [5_000usize, 20_000] {
@@ -156,22 +92,15 @@ fn bench_insert(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("compressed_trie", n), &entries, |b, e| {
             b.iter(|| CompressedTrieLpm::from_entries(e.iter().copied()))
         });
-        group.bench_with_input(BenchmarkId::new("per_length_maps", n), &entries, |b, e| {
-            b.iter(|| {
-                let mut t = PerLengthLpm::new();
-                for (p, v) in e {
-                    t.insert(*p, *v);
-                }
-                t
-            })
-        });
-        // Freeze cost: what a RIB update costs the read path.
-        group.bench_with_input(BenchmarkId::new("flat_freeze", n), &entries, |b, e| {
-            b.iter(|| FlatLpm::from_entries(e.iter().copied()))
-        });
+        // FIB build cost: what `BgpTable::freeze` pays per table version.
+        group.bench_with_input(
+            BenchmarkId::new("epoch_from_entries", n),
+            &entries,
+            |b, e| b.iter(|| EpochLpm::from_entries(e.iter().copied())),
+        );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_lookup, bench_insert);
+criterion_group!(benches, bench_lookup, bench_build);
 criterion_main!(benches);

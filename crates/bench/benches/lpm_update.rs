@@ -1,12 +1,12 @@
 //! Incremental-update micro-benchmarks for the epoch-swapped LPM: the
 //! cost of publishing one delta, a 1k-update batch, and the baseline
-//! both replace — refreezing the whole table from scratch. Justifies
-//! applying BGP churn as deltas instead of rebuilding the flat table
-//! per batch.
+//! both replace — rebuilding the whole table from scratch. Justifies
+//! applying BGP churn as deltas instead of rebuilding the FIB per
+//! batch.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use eleph_bench::bench_table;
-use eleph_net::{CompressedTrieLpm, EpochLpm, FlatLpm, LpmDelta, Prefix};
+use eleph_net::{EpochLpm, LpmDelta, Prefix};
 
 const N: usize = 20_000;
 
@@ -60,17 +60,8 @@ fn bench_update(c: &mut Criterion) {
         })
     });
 
-    // What the delta path replaces: rebuilding the frozen flat table
-    // from the full RIB on every routing change.
-    group.bench_function("full_refreeze_flat", |b| {
-        b.iter(|| {
-            let trie = CompressedTrieLpm::from_entries(black_box(entries.clone()));
-            black_box(FlatLpm::from(&trie))
-        })
-    });
-
-    // And rebuilding the epoch table itself from scratch, for an
-    // apples-to-apples same-structure baseline.
+    // What the delta path replaces: rebuilding the table from the full
+    // RIB on every routing change.
     group.bench_function("full_rebuild_epoch", |b| {
         b.iter(|| black_box(EpochLpm::from_entries(black_box(entries.clone()))))
     });

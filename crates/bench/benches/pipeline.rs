@@ -8,8 +8,8 @@
 //! The primary arms attribute against a pre-frozen table (the
 //! steady-state of a monitor whose RIB outlives many captures), so the
 //! comparison isolates the aggregation+classification work. The `_cold`
-//! arms include the per-run `BgpTable::freeze` (64 MiB stage-1 fill)
-//! for the one-shot case — compare like with like.
+//! arms include the per-run `BgpTable::freeze` (the generation-0 FIB
+//! build) for the one-shot case — compare like with like.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use eleph_bench::bench_capture;

@@ -11,16 +11,17 @@
 //! * [`BgpTable`] — an LPM-indexed RIB over [`eleph_net::CompressedTrieLpm`]
 //!   with prefix attribution ([`BgpTable::attribute`]) and unshadowed
 //!   address sampling for trace synthesis;
-//! * [`FrozenBgpTable`] — the read-optimized FIB compiled from a table
-//!   snapshot by [`BgpTable::freeze`]: O(1) flat-array attribution
-//!   returning dense [`RouteId`]s, which is what the packet hot path in
-//!   `eleph_flow` runs against;
-//! * [`LiveBgpTable`] — the *continuously updatable* FIB: announce/
-//!   withdraw batches ([`RouteUpdate`]) apply incrementally behind an
-//!   epoch/generation swap while readers attribute against pinned
-//!   [`TableView`]s; ids are stable (withdrawn ids retire, re-announced
-//!   prefixes get fresh ids), which is what mid-stream re-attribution
-//!   in `eleph_pipeline` builds on;
+//! * [`LiveBgpTable`] — the FIB: an [`eleph_net::EpochLpm`] plus an
+//!   append-only route store. Announce/withdraw batches
+//!   ([`RouteUpdate`]) apply incrementally behind an epoch/generation
+//!   swap while readers attribute against pinned [`TableView`]s in
+//!   O(1), returning [`RouteId`]s; ids are stable (withdrawn ids
+//!   retire, re-announced prefixes get fresh ids), which is what
+//!   mid-stream re-attribution in `eleph_pipeline` builds on;
+//! * [`FrozenBgpTable`] — the name for a generation-0 [`TableView`]
+//!   compiled from a table by [`BgpTable::freeze`]: ids run `0..len` in
+//!   RIB-dump order, and it is what the packet hot path in `eleph_flow`
+//!   attributes against when the routes do not change;
 //! * [`dump`] — a line-oriented text RIB format plus a timed update
 //!   stream format (write + parse);
 //! * [`synth`] — a synthetic table generator whose prefix-length histogram
@@ -31,14 +32,14 @@
 #![warn(missing_docs)]
 
 pub mod dump;
-mod frozen;
 mod live;
 mod route;
 pub mod synth;
 mod table;
 
-pub use frozen::{FrozenBgpTable, RouteId};
-pub use live::{ApplyReport, LiveBgpTable, RouteUpdate, TableView, UpdateBatch};
+pub use live::{
+    ApplyReport, FrozenBgpTable, LiveBgpTable, RouteId, RouteUpdate, TableView, UpdateBatch,
+};
 pub use route::{Origin, PeerClass, RouteEntry};
 pub use synth::{SynthConfig, DEFAULT_LENGTH_WEIGHTS};
 pub use table::BgpTable;

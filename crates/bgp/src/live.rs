@@ -1,20 +1,21 @@
 //! Continuously updatable routing table with stable route ids — the
-//! live counterpart of [`FrozenBgpTable`].
+//! FIB every packet is attributed against.
 //!
-//! [`FrozenBgpTable`] is a snapshot: correct for a fixed RIB, but a
-//! single route change costs a full refreeze while lookups stall. A
-//! [`LiveBgpTable`] stays updatable end-to-end: announce/withdraw
-//! batches ([`RouteUpdate`]) apply incrementally through
-//! [`eleph_net::EpochLpm`] — repainting only the changed prefix's slot
-//! range and publishing the result as a new *generation* — while any
-//! number of readers keep attributing packets against pinned
-//! [`TableView`]s, wait-free.
+//! A [`LiveBgpTable`] applies announce/withdraw batches
+//! ([`RouteUpdate`]) incrementally through [`eleph_net::EpochLpm`] —
+//! repainting only the changed prefix's slot range and publishing the
+//! result as a new *generation* — while any number of readers keep
+//! attributing packets against pinned [`TableView`]s, wait-free. A
+//! table that never changes is simply generation 0:
+//! [`BgpTable::freeze`] builds one with [`LiveBgpTable::from_table`]
+//! and keeps only its view ([`FrozenBgpTable`]).
 //!
 //! # Id semantics
 //!
-//! [`RouteId`]s here are **stable and append-only**, unlike the frozen
-//! table's dump-ordered dense ids:
+//! [`RouteId`]s are **stable and append-only**:
 //!
+//! * [`LiveBgpTable::from_table`] assigns `0..len()` in RIB-dump
+//!   (ascending prefix) order;
 //! * a route keeps its id for as long as it stays in the table;
 //! * a withdrawn route's id *retires* — it is never reused, and its
 //!   prefix/entry remain resolvable via [`TableView::prefix`] (so
@@ -36,7 +37,17 @@ use std::sync::{Arc, Mutex};
 use eleph_net::epoch::LpmSnapshot;
 use eleph_net::{EpochLpm, LpmDelta, LpmView, Prefix};
 
-use crate::{BgpTable, FrozenBgpTable, RouteEntry, RouteId};
+use crate::{BgpTable, RouteEntry};
+
+/// Id of a route within a [`LiveBgpTable`] and its [`TableView`]s.
+///
+/// Ids are dense and stable, so downstream accounting can use plain
+/// arrays instead of `Prefix`-keyed hash maps.
+pub type RouteId = u32;
+
+/// A generation-0 [`TableView`]: what [`BgpTable::freeze`] returns, for
+/// callers whose routes do not change during a run.
+pub type FrozenBgpTable = TableView;
 
 /// Entries per chunk of the append-only id → route store. Chunks behind
 /// an `Arc` are shared with pinned [`TableView`]s; only the (at most
@@ -131,10 +142,9 @@ impl LiveBgpTable {
     }
 
     /// Seed a live table from a RIB snapshot. Initial ids run
-    /// `0..len()` in RIB-dump order — identical to what
-    /// [`BgpTable::freeze`] would assign — and the table starts at
-    /// generation 0, so a checkpoint taken against the equivalent
-    /// frozen table fingerprints the same.
+    /// `0..len()` in RIB-dump order and the table starts at generation
+    /// 0 — [`BgpTable::freeze`] is exactly this table's first view, so a
+    /// checkpoint taken against a frozen table fingerprints the same.
     pub fn from_table(table: &BgpTable) -> Self {
         let mut routes = Routes { chunks: Vec::new(), n_ids: 0, live: 0 };
         let mut entries = Vec::with_capacity(table.len());
@@ -215,12 +225,6 @@ impl LiveBgpTable {
             self.lpm.entries().into_iter().map(|(_, id)| view.route(id).clone()),
         )
     }
-
-    /// Compact the live routes into a [`FrozenBgpTable`] (dense
-    /// dump-ordered ids — the stable-id mapping is *not* preserved).
-    pub fn freeze(&self) -> FrozenBgpTable {
-        self.to_table().freeze()
-    }
 }
 
 impl Default for LiveBgpTable {
@@ -240,11 +244,12 @@ impl fmt::Debug for LiveBgpTable {
     }
 }
 
-/// A pinned, immutable view of a [`LiveBgpTable`] generation.
+/// A pinned, immutable view of a [`LiveBgpTable`] generation: the
+/// attribution API of the packet hot path.
 ///
-/// Mirrors the [`FrozenBgpTable`] attribution API; additionally
-/// resolves *retired* ids (their routes stay in the append-only store),
-/// which checkpoint revalidation relies on.
+/// Also resolves *retired* ids (their routes stay in the append-only
+/// store), which checkpoint revalidation relies on. A clone copies one
+/// `Arc` per 1024 routes.
 #[derive(Clone)]
 pub struct TableView {
     snap: Arc<LpmSnapshot>,
@@ -350,16 +355,19 @@ mod tests {
             entry("9.0.0.0/8"),
             entry("10.0.0.0/8"),
         ]);
-        let frozen = base.freeze();
         let live = LiveBgpTable::from_table(&base);
         assert_eq!(live.generation(), 0);
         assert_eq!(live.len(), 3);
         assert_eq!(live.n_ids(), 3);
         let view = live.view();
+        let by_id: Vec<Prefix> = (0..3).map(|id| view.prefix(id)).collect();
+        let dump: Vec<Prefix> = base.iter().map(|e| e.prefix).collect();
+        assert_eq!(by_id, dump, "ids follow RIB-dump order");
         for a in ["9.1.1.1", "10.1.2.3", "10.200.0.1", "11.0.0.1"] {
-            assert_eq!(view.attribute_id(addr(a)), frozen.attribute_id(addr(a)), "{a}");
+            let via_view = view.attribute_id(addr(a)).map(|id| view.prefix(id));
+            let via_rib = base.attribute_u32(addr(a)).map(|(p, _)| p);
+            assert_eq!(via_view, via_rib, "{a}");
         }
-        assert_eq!(view.prefix(0), "9.0.0.0/8".parse().unwrap());
     }
 
     #[test]
@@ -438,7 +446,7 @@ mod tests {
             let via_fresh = fresh.attribute_id(addr(a)).map(|id| fresh.prefix(id));
             assert_eq!(via_live, via_fresh, "{a}");
         }
-        assert_eq!(live.to_table().freeze().len(), fresh.len());
+        assert_eq!(live.to_table().len(), fresh.n_ids());
     }
 
     #[test]

@@ -59,13 +59,15 @@ impl BgpTable {
         self.lpm.is_empty()
     }
 
-    /// Freeze the current snapshot into a read-optimized
-    /// [`crate::FrozenBgpTable`] (flat-array lookup, dense route ids).
+    /// Compile the current snapshot into its FIB: a generation-0
+    /// [`crate::TableView`] whose route ids run `0..len()` in RIB-dump
+    /// order.
     ///
     /// This is the RIB→FIB compile step: call it once per table
-    /// version, then attribute packets against the frozen copy.
+    /// version, then attribute packets against the frozen view. Routes
+    /// that change mid-stream belong in a [`crate::LiveBgpTable`].
     pub fn freeze(&self) -> crate::FrozenBgpTable {
-        crate::FrozenBgpTable::new(self)
+        crate::LiveBgpTable::from_table(self).view()
     }
 
     /// Longest-prefix attribution of a destination address: the flow key.
@@ -224,6 +226,88 @@ mod tests {
             t.sample_unshadowed_addr(host, &mut rng, 4),
             Some(Ipv4Addr::new(10, 0, 0, 1))
         );
+    }
+
+    #[test]
+    fn freeze_agrees_with_table_attribution() {
+        let table = BgpTable::from_entries(vec![
+            entry("10.0.0.0/8"),
+            entry("10.1.0.0/16"),
+            entry("10.1.2.0/25"),
+            entry("203.0.113.7/32"),
+        ]);
+        let frozen = table.freeze();
+        assert_eq!(frozen.n_ids(), table.len());
+        assert_eq!(frozen.generation(), 0);
+        for addr in [
+            Ipv4Addr::new(10, 1, 2, 3),
+            Ipv4Addr::new(10, 1, 9, 9),
+            Ipv4Addr::new(10, 200, 0, 1),
+            Ipv4Addr::new(203, 0, 113, 7),
+            Ipv4Addr::new(203, 0, 113, 8),
+            Ipv4Addr::new(11, 0, 0, 1),
+        ] {
+            let rib = table.attribute(addr).map(|(p, _)| p);
+            let fib = frozen.attribute(addr).map(|(id, _)| frozen.prefix(id));
+            assert_eq!(rib, fib, "addr {addr}");
+        }
+    }
+
+    #[test]
+    fn route_ids_are_dump_order() {
+        let table = BgpTable::from_entries(vec![
+            entry("10.1.0.0/16"),
+            entry("9.0.0.0/8"),
+            entry("10.0.0.0/8"),
+        ]);
+        let frozen = table.freeze();
+        let order: Vec<String> = (0..frozen.n_ids() as u32)
+            .map(|id| frozen.prefix(id).to_string())
+            .collect();
+        assert_eq!(order, vec!["9.0.0.0/8", "10.0.0.0/8", "10.1.0.0/16"]);
+        assert_eq!(frozen.route(1).prefix, "10.0.0.0/8".parse().unwrap());
+        let (id, e) = frozen.attribute(Ipv4Addr::new(10, 1, 2, 3)).unwrap();
+        assert_eq!(id, 2);
+        assert_eq!(e.prefix, "10.1.0.0/16".parse().unwrap());
+        assert_eq!(
+            frozen.attribute_id(u32::from(Ipv4Addr::new(10, 1, 2, 3))),
+            Some(2)
+        );
+    }
+
+    #[test]
+    fn batch_attribution_matches_single() {
+        let table = BgpTable::from_entries(vec![
+            entry("10.0.0.0/8"),
+            entry("10.1.0.0/16"),
+            entry("10.1.2.0/25"),
+            entry("203.0.113.7/32"),
+        ]);
+        let frozen = table.freeze();
+        let dsts: Vec<u32> = [
+            "10.1.2.3",
+            "10.1.9.9",
+            "10.200.0.1",
+            "203.0.113.7",
+            "203.0.113.8",
+            "11.0.0.1",
+        ]
+        .iter()
+        .map(|s| u32::from(s.parse::<Ipv4Addr>().unwrap()))
+        .collect();
+        let mut out = vec![None; dsts.len()];
+        frozen.attribute_ids(&dsts, &mut out);
+        for (i, &dst) in dsts.iter().enumerate() {
+            assert_eq!(out[i], frozen.attribute_id(dst), "dst {dst:#010x}");
+        }
+        assert_eq!(out.iter().filter(|r| r.is_none()).count(), 2);
+    }
+
+    #[test]
+    fn empty_freeze() {
+        let frozen = BgpTable::new().freeze();
+        assert_eq!(frozen.n_ids(), 0);
+        assert_eq!(frozen.attribute(Ipv4Addr::new(10, 0, 0, 1)), None);
     }
 
     #[test]

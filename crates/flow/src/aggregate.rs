@@ -4,8 +4,8 @@
 //! runs once per captured packet, millions of times per second. It is
 //! therefore built around constant-time, allocation-free primitives:
 //!
-//! * attribution goes through a [`FrozenBgpTable`] (flat-array LPM,
-//!   O(1), ≤ 2 dependent memory reads) and yields a dense
+//! * attribution goes through a [`FrozenBgpTable`] (a generation-0
+//!   DIR-24-8 view, O(1) per lookup) and yields a dense
 //!   [`eleph_bgp::RouteId`] — no trie pointer chase, no `Prefix → id`
 //!   hash lookup; the pcap drivers decode records into 64-packet
 //!   chunks and resolve them through the *batched*
@@ -21,6 +21,7 @@
 //!   ([`PcapReader::next_record_into`]) instead of allocating per
 //!   record.
 
+use std::borrow::Cow;
 use std::io::Read;
 
 use eleph_bgp::{BgpTable, FrozenBgpTable, RouteId};
@@ -59,7 +60,7 @@ pub fn window_bounds_ns(interval_secs: u64, start_unix: u64) -> (u64, u64) {
 
 /// Packets attributed per batched-lookup call on the chunked paths.
 ///
-/// Large enough that the flat table's stage-1 cache misses overlap
+/// Large enough that the table's stage-1 cache misses overlap
 /// across the whole out-of-order window, small enough that the
 /// destination/route scratch arrays live on the stack.
 pub const ATTRIBUTION_CHUNK: usize = 64;
@@ -72,10 +73,9 @@ pub const ATTRIBUTION_CHUNK: usize = 64;
 /// batch aggregator and the streaming pipeline (one copy, so the two
 /// paths cannot drift on chunking or issue order).
 ///
-/// Generic over [`LpmView`] so the same code serves a
-/// [`FrozenBgpTable`] snapshot and a pinned live
-/// `eleph_bgp::TableView` — mid-stream re-attribution reuses the
-/// identical chunking.
+/// Generic over [`LpmView`]; every caller passes a pinned
+/// `eleph_bgp::TableView`, frozen or live, so mid-stream
+/// re-attribution reuses the identical chunking.
 pub fn attribute_metas<T: LpmView<u32> + ?Sized>(
     table: &T,
     metas: &[PacketMeta],
@@ -212,33 +212,12 @@ impl AggregatorStats {
     }
 }
 
-/// A frozen attribution table, owned or borrowed: owned when built
-/// from a live [`BgpTable`], borrowed when several consumers (batch
-/// aggregators, streaming pipelines) share one freeze. Shared with the
-/// streaming pipeline so both paths hold their table the same way.
-#[derive(Debug)]
-pub enum FrozenTableRef<'t> {
-    /// Owns its freeze.
-    Owned(Box<FrozenBgpTable>),
-    /// Borrows a shared freeze.
-    Borrowed(&'t FrozenBgpTable),
-}
-
-impl FrozenTableRef<'_> {
-    /// The table itself.
-    #[inline]
-    pub fn get(&self) -> &FrozenBgpTable {
-        match self {
-            FrozenTableRef::Owned(t) => t,
-            FrozenTableRef::Borrowed(t) => t,
-        }
-    }
-}
-
 /// Streaming aggregator: packets in, [`BandwidthMatrix`] out.
 #[derive(Debug)]
 pub struct Aggregator<'t> {
-    table: FrozenTableRef<'t>,
+    /// Owned when built from a [`BgpTable`], borrowed when several
+    /// aggregators share one freeze.
+    table: Cow<'t, FrozenBgpTable>,
     interval_secs: u64,
     start_unix: u64,
     n_intervals: usize,
@@ -272,7 +251,7 @@ impl<'t> Aggregator<'t> {
         n_intervals: usize,
     ) -> Self {
         Self::build(
-            FrozenTableRef::Owned(Box::new(table.freeze())),
+            Cow::Owned(table.freeze()),
             interval_secs,
             start_unix,
             n_intervals,
@@ -287,7 +266,7 @@ impl<'t> Aggregator<'t> {
         n_intervals: usize,
     ) -> Self {
         Self::build(
-            FrozenTableRef::Borrowed(table),
+            Cow::Borrowed(table),
             interval_secs,
             start_unix,
             n_intervals,
@@ -295,13 +274,13 @@ impl<'t> Aggregator<'t> {
     }
 
     fn build(
-        table: FrozenTableRef<'t>,
+        table: Cow<'t, FrozenBgpTable>,
         interval_secs: u64,
         start_unix: u64,
         n_intervals: usize,
     ) -> Self {
         let (start_ns, interval_ns) = window_bounds_ns(interval_secs, start_unix);
-        let n_routes = table.get().len();
+        let n_routes = table.n_ids();
         Aggregator {
             table,
             interval_secs,
@@ -327,7 +306,7 @@ impl<'t> Aggregator<'t> {
             self.stats.out_of_window += 1;
             return;
         };
-        let route = self.table.get().attribute_id(u32::from(meta.dst));
+        let route = self.table.attribute_id(u32::from(meta.dst));
         self.bin(meta, route, interval);
     }
 
@@ -336,8 +315,8 @@ impl<'t> Aggregator<'t> {
     ///
     /// Behaves exactly like calling [`Aggregator::observe`] on each
     /// packet in order — same statistics, same first-seen key order —
-    /// but resolves destinations through the frozen table's batch API
-    /// ([`eleph_bgp::FrozenBgpTable::attribute_ids`]) in chunks of 64,
+    /// but resolves destinations through the table's batch API
+    /// ([`eleph_bgp::TableView::attribute_ids`]) in chunks of 64,
     /// so attribution cache misses overlap across packets instead of
     /// serialising. This is the form the pcap drivers feed.
     pub fn observe_chunk(&mut self, metas: &[PacketMeta]) {
@@ -349,7 +328,7 @@ impl<'t> Aggregator<'t> {
         // long the slice.
         let mut routes = std::mem::take(&mut self.route_scratch);
         for chunk in metas.chunks(ATTRIBUTION_CHUNK) {
-            attribute_metas(self.table.get(), chunk, &mut routes);
+            attribute_metas(&*self.table, chunk, &mut routes);
             for (meta, &route) in chunk.iter().zip(routes.iter()) {
                 self.apply(meta, route);
             }
@@ -430,7 +409,7 @@ impl<'t> Aggregator<'t> {
         let keys: Vec<Prefix> = self
             .key_routes
             .iter()
-            .map(|&r| self.table.get().prefix(r))
+            .map(|&r| self.table.prefix(r))
             .collect();
         let matrix = matrix_from_rows(self.interval_secs, self.start_unix, keys, &self.rows);
         (matrix, self.stats)

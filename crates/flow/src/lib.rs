@@ -16,11 +16,12 @@
 //! * [`Aggregator`] — streaming packet-to-interval aggregation with full
 //!   accounting ([`AggregatorStats`]): malformed, unroutable and
 //!   out-of-window packets are counted, never silently dropped. The hot
-//!   path is allocation- and hash-free: frozen flat-array attribution
-//!   (`eleph_bgp::FrozenBgpTable`) into dense per-interval byte rows.
-//!   Feed it packet *chunks* via [`Aggregator::observe_chunk`] where
-//!   possible — attribution then goes through the frozen table's batch
-//!   lookup, which overlaps lookup cache misses across the chunk
+//!   path is allocation- and hash-free: DIR-24-8 attribution through a
+//!   frozen table view (`eleph_bgp::FrozenBgpTable`) into dense
+//!   per-interval byte rows. Feed it packet *chunks* via
+//!   [`Aggregator::observe_chunk`] where possible — attribution then
+//!   goes through the view's batch lookup, which overlaps lookup cache
+//!   misses across the chunk
 //!   (single-packet [`Aggregator::observe`] pays one dependent miss per
 //!   packet); both forms produce identical output;
 //! * [`aggregate_pcap`] — drive an [`Aggregator`] from a capture file
@@ -36,7 +37,7 @@ mod window;
 
 pub use aggregate::{
     aggregate_pcap, aggregate_pcap_frozen, attribute_metas, window_bounds_ns, Aggregator,
-    AggregatorStats, FrozenTableRef, KeyAllocator, ATTRIBUTION_CHUNK, NO_KEY,
+    AggregatorStats, KeyAllocator, ATTRIBUTION_CHUNK, NO_KEY,
 };
 pub use matrix::{BandwidthMatrix, IntervalView, KeyId};
 pub use window::busiest_window;

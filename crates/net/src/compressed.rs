@@ -1,15 +1,16 @@
-//! Path-compressed (radix) trie LPM — the production table.
+//! Path-compressed (radix) trie LPM — the updatable RIB.
 
 use crate::prefix::addr_bit;
 use crate::{Lpm, Prefix};
 
 /// A path-compressed binary radix trie.
 ///
-/// Unlike [`crate::TrieLpm`], chains of single-child internal nodes are
-/// collapsed: every node stores the full prefix it represents, and every
-/// *valueless* node has exactly two children. With a backbone-sized table
-/// (~10⁵ prefixes) this roughly halves memory and lookup depth, which is
-/// why it is the default table used by the flow-aggregation pipeline.
+/// Unlike a one-bit-per-level trie, chains of single-child internal
+/// nodes are collapsed: every node stores the full prefix it represents,
+/// and every *valueless* node has exactly two children, so lookup depth
+/// is bounded by the prefix nesting depth rather than by 32. It is the
+/// RIB behind `eleph_bgp::BgpTable`; per-packet lookups go through an
+/// [`crate::EpochLpm`] built from it.
 #[derive(Debug, Clone)]
 pub struct CompressedTrieLpm<V> {
     root: Option<Box<Node<V>>>,

@@ -1,19 +1,20 @@
-//! Epoch-swapped, incrementally updatable DIR-24-8 LPM — the live read
-//! path.
+//! Epoch-swapped, incrementally updatable DIR-24-8 LPM — the FIB every
+//! packet is attributed through.
 //!
-//! [`crate::FlatLpm`] is frozen by design: any route change costs a full
-//! refreeze (~19 ms on a 20k-prefix table, `lpm_build/flat_freeze`)
-//! during which no new table can serve lookups. [`EpochLpm`] keeps the
-//! exact same two-stage lookup layout — a direct index over the top 24
-//! address bits plus 256-slot spill blocks for longer prefixes — but
-//! makes it *persistent* in the functional-data-structure sense:
+//! The layout is DIR-24-8 (Gupta/Lin/McKeown, "Routing Lookups in
+//! Hardware at Memory Access Speeds"), the one hardware and kernel fast
+//! paths use: a direct index over the top 24 address bits plus 256-slot
+//! spill blocks, indexed by the last octet, for the /24s that contain
+//! longer prefixes. A lookup is O(1) — no trie pointer chase.
+//! [`EpochLpm`] makes that layout *persistent* in the
+//! functional-data-structure sense:
 //!
 //! * Stage 1 is split into 4096-slot **pages** (16 KiB each), every page
 //!   behind an `Arc`. Untouched pages all share one zero page, so an
-//!   empty table costs ~48 KiB instead of 64 MiB — the moral equivalent
-//!   of `FlatLpm`'s masked single-slot empty representation, except it
-//!   upgrades in place on first insert: announcing a route copies-on-write
-//!   only the pages its range covers.
+//!   empty table costs ~48 KiB instead of 64 MiB, and announcing a route
+//!   copies-on-write only the pages its range covers.
+//! * [`EpochLpm::from_entries`] paints a whole RIB in one pass and
+//!   publishes it as generation 0.
 //! * A writer applies an announce/withdraw batch by **repainting only the
 //!   slot range the changed prefix covers** (one slot for a /24, 256
 //!   pages for a /8 — never the whole table), copying-on-write each
@@ -26,8 +27,8 @@
 //!
 //! The table stores bare `u32` ids; the caller owns id assignment and
 //! the id → value mapping (`eleph_bgp::LiveBgpTable` layers stable
-//! `RouteId`s on top). Slot encoding is shared with `FlatLpm`: `0` =
-//! miss, bit 31 set = spill-block index, otherwise `id + 1`.
+//! `RouteId`s on top). Slot encoding: `0` = miss, bit 31 set =
+//! spill-block index, otherwise `id + 1`.
 //!
 //! Writers are serialized by a mutex; `apply` cost is O(covered slots +
 //! contained entries), and the published snapshot shares every page and
@@ -39,8 +40,15 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::flat::{EMPTY, SPILL_BIT};
 use crate::{LpmView, Prefix};
+
+/// Slot value for "no matching entry". Any other stage-1 slot either
+/// has [`SPILL_BIT`] set (the low bits index a 256-slot spill block:
+/// the /24 contains a prefix longer than /24) or holds `id + 1`; spill
+/// slots hold `id + 1` or [`EMPTY`] only.
+const EMPTY: u32 = 0;
+/// Stage-1 tag bit marking a spill-block index.
+const SPILL_BIT: u32 = 1 << 31;
 
 /// log2 of the stage-1 page size. 12 → 4096 slots = 16 KiB per page,
 /// 4096 pages to cover the 2²⁴ stage-1 slots: small enough that a /24
@@ -101,8 +109,8 @@ pub struct LpmSnapshot {
 }
 
 impl LpmSnapshot {
-    /// Raw slot resolve: stage-1 page hop, then the optional spill hop.
-    /// Same encoding as `FlatLpm` (`0` miss / `id + 1` / spill index).
+    /// Raw slot resolve: stage-1 page hop, then the optional spill hop
+    /// (`0` miss, else `id + 1`).
     #[inline(always)]
     fn resolve_raw(&self, addr: u32) -> u32 {
         let idx = (addr >> 8) as usize;
@@ -134,18 +142,6 @@ impl LpmSnapshot {
         assert_eq!(addrs.len(), out.len(), "lookup_many: output length mismatch");
         for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
             *slot = self.lookup_id(*addr);
-        }
-    }
-
-    /// Batched raw resolve (`0` = miss, else `id + 1`), the mirror of
-    /// [`crate::FlatLpm::lookup_many_raw`].
-    ///
-    /// # Panics
-    /// If `out.len() != addrs.len()`.
-    pub fn lookup_many_raw(&self, addrs: &[u32], out: &mut [u32]) {
-        assert_eq!(addrs.len(), out.len(), "lookup_many_raw: output length mismatch");
-        for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
-            *slot = self.resolve_raw(*addr);
         }
     }
 
@@ -279,11 +275,10 @@ impl Writer {
         }
     }
 
-    /// Recompute every slot covered by `covering` from the RIB. This is
-    /// the incremental analogue of `FlatLpm::from_entries` restricted to
-    /// one prefix's range: ancestor fallback, then contained entries
-    /// painted in ascending prefix-length order, then per-/24 spill
-    /// blocks for entries longer than /24.
+    /// Recompute every slot covered by `covering` from the RIB: ancestor
+    /// fallback, then contained entries painted in ascending
+    /// prefix-length order, then per-/24 spill blocks for entries longer
+    /// than /24. Repainting [`Prefix::DEFAULT`] is the bulk build.
     fn repaint(&mut self, covering: Prefix) {
         if covering.len() > 24 {
             self.repaint_block((covering.bits() >> 8) as usize);
@@ -559,7 +554,7 @@ impl fmt::Debug for EpochLpm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlatLpm;
+    use crate::{LinearLpm, Lpm};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -573,26 +568,21 @@ mod tests {
         LpmDelta::Withdraw { prefix: p(prefix) }
     }
 
-    /// Check the snapshot agrees with a `FlatLpm` frozen from the same
-    /// final entries, across every probe address — by *prefix*, since
-    /// epoch ids are caller-assigned while flat ids are dump-ordered.
-    fn assert_matches_flat(table: &EpochLpm, probes: &[u32]) {
-        let entries = table.entries();
-        let flat: FlatLpm<u32> = FlatLpm::from_entries(entries.iter().map(|&(p, id)| (p, id)));
+    /// Check the snapshot agrees, id for id, with a linear-scan oracle
+    /// holding the same final entries, across every probe address — on
+    /// the scalar and the batch path.
+    fn assert_matches_oracle(table: &EpochLpm, probes: &[u32]) {
+        let mut oracle = LinearLpm::new();
+        for (prefix, id) in table.entries() {
+            oracle.insert(prefix, id);
+        }
         let snap = table.pin();
-        let id_to_prefix: std::collections::HashMap<u32, Prefix> =
-            entries.iter().map(|&(p, id)| (id, p)).collect();
         for &addr in probes {
-            let via_epoch = snap.lookup_id(addr).map(|id| id_to_prefix[&id]);
-            let via_flat = flat.lookup_id(addr).map(|id| flat.prefix(id));
-            assert_eq!(via_epoch, via_flat, "addr {addr:#010x}");
-            // scalar and batch paths agree
+            let want = oracle.lookup(addr).map(|(_, &id)| id);
+            assert_eq!(snap.lookup_id(addr), want, "addr {addr:#010x}");
             let mut out = [None];
             snap.lookup_many(&[addr], &mut out);
-            assert_eq!(out[0], snap.lookup_id(addr));
-            let mut raw = [0u32];
-            snap.lookup_many_raw(&[addr], &mut raw);
-            assert_eq!(raw[0], snap.lookup_id(addr).map_or(0, |id| id + 1));
+            assert_eq!(out[0], want, "batch addr {addr:#010x}");
         }
     }
 
@@ -629,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_flat_through_mixed_delta_sequence() {
+    fn matches_oracle_through_mixed_delta_sequence() {
         let table = EpochLpm::new();
         let batches: &[&[LpmDelta]] = &[
             &[announce("10.0.0.0/8", 0), announce("10.1.0.0/16", 1)],
@@ -643,7 +633,7 @@ mod tests {
         ];
         for batch in batches {
             table.apply(batch);
-            assert_matches_flat(&table, &probes_for(&table));
+            assert_matches_oracle(&table, &probes_for(&table));
         }
     }
 
@@ -724,7 +714,78 @@ mod tests {
         for &addr in &probes_for(&bulk) {
             assert_eq!(bulk.pin().lookup_id(addr), inc.pin().lookup_id(addr));
         }
-        assert_matches_flat(&bulk, &probes_for(&bulk));
+        assert_matches_oracle(&bulk, &probes_for(&bulk));
+    }
+
+    #[test]
+    fn host_routes_and_spill_inheritance() {
+        // A /32 inside a /24 inside a /8: the spill block must inherit
+        // the /24 for the other 255 last-octet values.
+        let table = EpochLpm::from_entries(vec![
+            (p("10.0.0.0/8"), 8),
+            (p("10.1.2.0/24"), 24),
+            (p("10.1.2.77/32"), 32),
+        ]);
+        assert_eq!(table.spill_stats(), (1, 0));
+        let snap = table.pin();
+        assert_eq!(snap.lookup_id(0x0A01_024D), Some(32)); // 10.1.2.77
+        assert_eq!(snap.lookup_id(0x0A01_024E), Some(24)); // 10.1.2.78
+        assert_eq!(snap.lookup_id(0x0A01_034D), Some(8)); // 10.1.3.77
+    }
+
+    #[test]
+    fn long_prefix_without_short_cover() {
+        // A lone /30: only its 4 addresses match, nothing else in the
+        // /24 does.
+        let table = EpochLpm::from_entries(vec![(p("192.0.2.64/30"), 0)]);
+        assert_eq!(table.spill_stats(), (1, 0));
+        let snap = table.pin();
+        for last in 64..68u32 {
+            assert_eq!(snap.lookup_id(0xC000_0200 | last), Some(0), "last octet {last}");
+        }
+        assert_eq!(snap.lookup_id(0xC000_0200 | 63), None);
+        assert_eq!(snap.lookup_id(0xC000_0200 | 68), None);
+        assert_eq!(snap.lookup_id(0xC000_0300), None);
+    }
+
+    #[test]
+    fn nested_long_prefixes_in_one_block() {
+        let table = EpochLpm::from_entries(vec![
+            (p("10.0.0.0/25"), 25),
+            (p("10.0.0.0/26"), 26),
+            (p("10.0.0.0/28"), 28),
+        ]);
+        assert_eq!(table.spill_stats(), (1, 0));
+        let snap = table.pin();
+        assert_eq!(snap.lookup_id(0x0A00_0000), Some(28));
+        assert_eq!(snap.lookup_id(0x0A00_0000 + 20), Some(26));
+        assert_eq!(snap.lookup_id(0x0A00_0000 + 70), Some(25));
+        assert_eq!(snap.lookup_id(0x0A00_0000 + 130), None);
+    }
+
+    #[test]
+    fn duplicate_prefix_last_wins() {
+        let table = EpochLpm::from_entries(vec![(p("10.0.0.0/8"), 1), (p("10.0.0.0/8"), 2)]);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.entries(), vec![(p("10.0.0.0/8"), 2)]);
+        assert_eq!(table.pin().lookup_id(0x0A00_0001), Some(2));
+    }
+
+    #[test]
+    fn default_route_covers_everything() {
+        let table = EpochLpm::from_entries(vec![(p("0.0.0.0/0"), 1)]);
+        let snap = table.pin();
+        for addr in [0u32, 1, 0x0A00_0001, u32::MAX] {
+            assert_eq!(snap.lookup_id(addr), Some(1), "addr {addr:#010x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "output length mismatch")]
+    fn lookup_many_rejects_mismatched_lengths() {
+        let table = EpochLpm::from_entries(vec![(p("10.0.0.0/8"), 0)]);
+        let mut out = [None; 2];
+        table.pin().lookup_many(&[1, 2, 3], &mut out);
     }
 
     #[test]

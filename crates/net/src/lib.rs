@@ -9,62 +9,44 @@
 //! * [`Prefix`] — a canonical IPv4 CIDR prefix (`10.0.0.0/8`), with the set
 //!   algebra (containment, overlap, parent/children) the rest of the system
 //!   builds on;
-//! * [`Lpm`] — the longest-prefix-match interface, with four interchangeable
-//!   updatable implementations:
-//!   [`LinearLpm`] (naive reference used as a test oracle),
-//!   [`TrieLpm`] (one-bit-per-level binary trie),
-//!   [`CompressedTrieLpm`] (path-compressed radix trie, the updatable
-//!   default), and [`PerLengthLpm`] (one hash map per prefix length,
-//!   searched longest-first);
-//! * [`FlatLpm`] — a frozen, DIR-24-8-style flat-array table built once
-//!   from any of the above; the read path of the packet pipeline;
+//! * [`Lpm`] — the longest-prefix-match interface, with two updatable
+//!   implementations: [`LinearLpm`] (naive reference used as a test
+//!   oracle) and [`CompressedTrieLpm`] (path-compressed radix trie, the
+//!   updatable RIB);
+//! * [`EpochLpm`] — an incrementally updatable DIR-24-8-style table whose
+//!   pinned [`LpmSnapshot`]s are the read path of the packet pipeline;
 //! * [`PrefixSet`] — an aggregating set of prefixes (used for RIB synthesis
 //!   and the prefix-length analysis of the paper's §III).
-//!
-//! All tables are generic over the attached route value `V`.
 //!
 //! # Choosing a table backend
 //!
 //! | backend | build cost | update | lookup cost | memory | use when |
 //! |---|---|---|---|---|---|
 //! | [`LinearLpm`] | O(1)/insert | yes | O(n) scan | ~n | test oracle only |
-//! | [`TrieLpm`] | O(len)/insert | yes | up to 32 node hops | node per bit | didactic baseline |
-//! | [`CompressedTrieLpm`] | O(len)/insert | yes | ≤ nesting-depth hops | node per entry | the *updatable* RIB: streaming route churn |
-//! | [`PerLengthLpm`] | O(1)/insert | yes | ≤ 33 hash probes | map per length | batch jobs dominated by inserts |
-//! | [`FlatLpm`] | O(n + painted range) freeze | **no** (rebuild) | **O(1), ≤ 2 dependent reads** | 64 MiB + 1 KiB per spilled /24 | the *read* path: per-packet attribution at line rate |
+//! | [`CompressedTrieLpm`] | O(len)/insert | yes | ≤ nesting-depth hops | node per entry | the RIB: exact-match edits, ordered iteration, address sampling |
+//! | [`EpochLpm`] | O(n + painted range) bulk build | yes, repaints only the changed prefix's range | **O(1)**: page, slot, and a spill hop only past /24 | 16 KiB per touched 4096-slot page + 1 KiB per spilled /24 | the FIB: per-packet attribution at line rate |
 //!
-//! The intended production shape mirrors a router's RIB/FIB split: keep
-//! a [`CompressedTrieLpm`] as the updatable source of truth, and freeze
-//! it into a [`FlatLpm`] (`FlatLpm::from(&trie)`) whenever the table
-//! changes; serve all lookups from the frozen copy. On a ~100k-prefix
-//! backbone table the flat table answers a lookup in a handful of
-//! nanoseconds — several times faster than the compressed trie (see
-//! `crates/bench/benches/lpm.rs`) — and its dense entry ids double as
-//! allocation-free accounting keys (`eleph_bgp::FrozenBgpTable`,
-//! `eleph_flow::Aggregator`).
+//! The production shape is a router's RIB/FIB split: a
+//! [`CompressedTrieLpm`] (inside `eleph_bgp::BgpTable`) is the editable
+//! source of truth, and an [`EpochLpm`] built from it
+//! ([`EpochLpm::from_entries`], generation 0) serves every lookup. Route
+//! churn reaches the FIB as announce/withdraw deltas
+//! ([`EpochLpm::apply`]), each published as a new generation; readers
+//! [`EpochLpm::pin`] a generation and resolve against it wait-free. The
+//! FIB's ids are caller-assigned and double as allocation-free
+//! accounting keys (`eleph_bgp::LiveBgpTable`, `eleph_flow::Aggregator`).
 //!
 //! ## Single vs batched lookups
 //!
-//! [`FlatLpm::lookup_id`] is the right call when addresses arrive one
-//! at a time (interactive queries, route churn validation). When the
-//! caller already holds a *batch* of addresses — the packet pipeline
-//! decodes capture records in chunks — use
-//! [`FlatLpm::lookup_many`] (or the raw-encoded
-//! [`FlatLpm::lookup_many_raw`]): its resolve loop carries no per-call
-//! overhead and no lane-to-lane dependency, so the stage-1 cache misses
-//! of different addresses overlap instead of serialising against the
-//! caller's surrounding control flow. On a pure lookup micro-bench the
-//! per-address loop is already memory-parallelism-bound and the two tie
-//! (`crates/bench/benches/lpm.rs`); the batch form wins where it is
-//! embedded in real per-packet work — the flow aggregator's chunked
-//! attribution runs ~15–20% faster end-to-end on cache-cold
-//! destinations (`attribution` bench group). It is what
-//! `eleph_bgp::FrozenBgpTable::attribute_ids` and the flow aggregator's
-//! chunked hot path build on. Enabling the crate's `prefetch` cargo
-//! feature adds explicit software prefetch (x86-64 `prefetcht0`) a few
-//! lanes ahead inside the batch loop; the feature is off by default
-//! because it needs one `unsafe` intrinsic call and only pays off when
-//! the table misses cache.
+//! [`LpmSnapshot::lookup_id`] is the right call when addresses arrive
+//! one at a time. When the caller already holds a *batch* of addresses —
+//! the packet pipeline decodes capture records in chunks — use
+//! [`LpmSnapshot::lookup_many`] (or the [`LpmView::lookup_batch`] seam
+//! over it): no lane consumes another lane's result, so the table's
+//! cache misses for different addresses overlap instead of serialising
+//! against the caller's per-packet control flow. It is what
+//! `eleph_bgp::TableView::attribute_ids` and the flow aggregator's
+//! chunked hot path build on.
 //!
 //! # Example
 //!
@@ -80,32 +62,22 @@
 //! assert_eq!(*val, "fine");
 //! ```
 
-// The only unsafe in the crate is the feature-gated prefetch intrinsic
-// in `flat.rs` (architecturally a no-op hint); everything else stays
-// forbidden either way.
-#![cfg_attr(not(feature = "prefetch"), forbid(unsafe_code))]
-#![cfg_attr(feature = "prefetch", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod compressed;
 pub mod epoch;
 mod error;
-mod flat;
 mod linear;
-mod perlength;
 mod prefix;
 mod set;
-mod trie;
 
 pub use compressed::CompressedTrieLpm;
 pub use epoch::{Applied, EpochLpm, LpmDelta, LpmSnapshot};
 pub use error::PrefixError;
-pub use flat::FlatLpm;
 pub use linear::LinearLpm;
-pub use perlength::PerLengthLpm;
 pub use prefix::Prefix;
 pub use set::PrefixSet;
-pub use trie::TrieLpm;
 
 use std::net::Ipv4Addr;
 
@@ -146,11 +118,10 @@ pub trait Lpm<V> {
 /// Read-only longest-prefix-match resolution to dense ids, generic over
 /// the address family `A`.
 ///
-/// This is the seam the packet pipeline attributes through: both the
-/// frozen [`FlatLpm`] and a pinned live [`LpmSnapshot`] implement it
+/// This is the seam the packet pipeline attributes through: a pinned
+/// [`LpmSnapshot`] (and `eleph_bgp::TableView` over it) implements it
 /// for `A = u32` (IPv4), so downstream attribution
-/// (`eleph_flow::attribute_metas`) is agnostic to whether the table
-/// underneath it is a one-shot freeze or an epoch-swapped live view. An
+/// (`eleph_flow::attribute_metas`) names no concrete table. An
 /// IPv6 backend (e.g. a multi-level-stride table over `A = u128`)
 /// plugs in by implementing the same two methods — nothing upstack
 /// names the address width.
@@ -161,16 +132,6 @@ pub trait LpmView<A> {
     /// Batched longest-prefix match; `out[i]` receives the id for
     /// `addrs[i]`. Implementations must panic if the lengths differ.
     fn lookup_batch(&self, addrs: &[A], out: &mut [Option<u32>]);
-}
-
-impl<V> LpmView<u32> for FlatLpm<V> {
-    fn lookup_one(&self, addr: u32) -> Option<u32> {
-        self.lookup_id(addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[u32], out: &mut [Option<u32>]) {
-        self.lookup_many(addrs, out);
-    }
 }
 
 /// Convert an IPv4 dotted-quad to its host-order `u32` representation.

@@ -1,11 +1,8 @@
-//! Property tests: every real LPM implementation must agree with the
+//! Property tests: the RIB trie and the FIB must agree with the
 //! linear-scan oracle on random tables, and prefix algebra must hold on
 //! random prefixes.
 
-use eleph_net::{
-    CompressedTrieLpm, EpochLpm, FlatLpm, LinearLpm, Lpm, LpmDelta, PerLengthLpm, Prefix,
-    PrefixSet, TrieLpm,
-};
+use eleph_net::{CompressedTrieLpm, EpochLpm, LinearLpm, Lpm, LpmDelta, Prefix, PrefixSet};
 use proptest::prelude::*;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -64,59 +61,41 @@ proptest! {
     #[test]
     fn all_lpm_impls_agree_with_linear(entries in arb_table(), queries in prop::collection::vec(any::<u32>(), 0..64)) {
         let mut linear = LinearLpm::new();
-        let mut trie = TrieLpm::new();
         let mut compressed = CompressedTrieLpm::new();
-        let mut perlen = PerLengthLpm::new();
         for (p, v) in &entries {
             linear.insert(*p, *v);
-            trie.insert(*p, *v);
             compressed.insert(*p, *v);
-            perlen.insert(*p, *v);
         }
-        prop_assert_eq!(trie.len(), linear.len());
         prop_assert_eq!(compressed.len(), linear.len());
-        prop_assert_eq!(perlen.len(), linear.len());
 
         // Probe random addresses plus each entry's own network address
         // (guaranteed hits).
         let extra: Vec<u32> = entries.iter().map(|(p, _)| p.bits()).collect();
         for addr in queries.iter().chain(extra.iter()) {
             let want = linear.lookup(*addr).map(|(p, v)| (p, *v));
-            prop_assert_eq!(trie.lookup(*addr).map(|(p, v)| (p, *v)), want);
             prop_assert_eq!(compressed.lookup(*addr).map(|(p, v)| (p, *v)), want);
-            prop_assert_eq!(perlen.lookup(*addr).map(|(p, v)| (p, *v)), want);
         }
     }
 
     #[test]
     fn lpm_impls_agree_after_removals(entries in arb_table(), removals in prop::collection::vec(any::<prop::sample::Index>(), 0..16), queries in prop::collection::vec(any::<u32>(), 0..32)) {
         let mut linear = LinearLpm::new();
-        let mut trie = TrieLpm::new();
         let mut compressed = CompressedTrieLpm::new();
-        let mut perlen = PerLengthLpm::new();
         for (p, v) in &entries {
             linear.insert(*p, *v);
-            trie.insert(*p, *v);
             compressed.insert(*p, *v);
-            perlen.insert(*p, *v);
         }
         if !entries.is_empty() {
             for idx in removals {
                 let (p, _) = entries[idx.index(entries.len())];
                 let want = linear.remove(p);
-                prop_assert_eq!(trie.remove(p), want);
                 prop_assert_eq!(compressed.remove(p), want);
-                prop_assert_eq!(perlen.remove(p), want);
             }
         }
-        prop_assert_eq!(trie.len(), linear.len());
         prop_assert_eq!(compressed.len(), linear.len());
-        prop_assert_eq!(perlen.len(), linear.len());
         for addr in &queries {
             let want = linear.lookup(*addr).map(|(p, v)| (p, *v));
-            prop_assert_eq!(trie.lookup(*addr).map(|(p, v)| (p, *v)), want);
             prop_assert_eq!(compressed.lookup(*addr).map(|(p, v)| (p, *v)), want);
-            prop_assert_eq!(perlen.lookup(*addr).map(|(p, v)| (p, *v)), want);
         }
     }
 
@@ -166,54 +145,70 @@ proptest! {
     }
 }
 
-// The frozen flat table allocates its 64 MiB stage-1 array per build, so
-// this block runs fewer cases than the incremental-table properties above;
-// the generator deliberately covers >/24 prefixes, shadowed prefixes, the
-// default route and the empty table.
+/// `arb_table` with each entry's value replaced by a FIB id: its index
+/// in the list, so a duplicated prefix's later id wins on both sides.
+fn with_index_ids(entries: &[(Prefix, u32)]) -> Vec<(Prefix, u32)> {
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, &(p, _))| (p, i as u32))
+        .collect()
+}
+
+/// The linear-scan oracle over `(prefix, id)` entries: it shares no
+/// code with the FIB, so agreement is evidence, not tautology.
+fn linear_oracle(entries: &[(Prefix, u32)]) -> LinearLpm<u32> {
+    let mut oracle = LinearLpm::new();
+    for &(p, id) in entries {
+        oracle.insert(p, id);
+    }
+    oracle
+}
+
+// A populated FIB materializes every stage-1 page its prefixes cover (a
+// /0 touches all 4096 pages, 64 MiB), so this block runs fewer cases
+// than the trie properties above; the generator deliberately covers
+// >/24 prefixes, shadowed prefixes, the default route and the empty
+// table.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn flat_lpm_agrees_with_compressed_trie(entries in arb_table(), queries in prop::collection::vec(any::<u32>(), 0..64)) {
-        let compressed = CompressedTrieLpm::from_entries(entries.iter().copied());
-        // Build once from the entry list and once from the live trie:
-        // both construction paths must agree.
-        let flat = FlatLpm::from_entries(entries.iter().copied());
-        let refrozen = FlatLpm::from(&compressed);
-        prop_assert_eq!(flat.len(), compressed.len());
-        prop_assert_eq!(refrozen.len(), compressed.len());
+    fn epoch_from_entries_agrees_with_linear(entries in arb_table(), queries in prop::collection::vec(any::<u32>(), 0..64)) {
+        let entries = with_index_ids(&entries);
+        let oracle = linear_oracle(&entries);
+        let table = EpochLpm::from_entries(entries.iter().copied());
+        prop_assert_eq!(table.len(), oracle.len());
+        prop_assert_eq!(table.generation(), 0);
+
+        // The surviving entries, in dump order, carry the last id given
+        // to each prefix.
+        let mut want_entries: Vec<(Prefix, u32)> = oracle.iter().map(|(p, &id)| (p, id)).collect();
+        want_entries.sort();
+        prop_assert_eq!(table.entries(), want_entries);
 
         // Probe random addresses plus each entry's own network and last
         // address (guaranteed hits, including inside spill blocks).
+        let snap = table.pin();
         let extra: Vec<u32> = entries
             .iter()
             .flat_map(|(p, _)| [p.bits(), u32::from(p.last_addr())])
             .collect();
         for addr in queries.iter().chain(extra.iter()) {
-            let want = compressed.lookup(*addr).map(|(p, v)| (p, *v));
-            prop_assert_eq!(flat.lookup(*addr).map(|(p, v)| (p, *v)), want);
-            prop_assert_eq!(refrozen.lookup(*addr).map(|(p, v)| (p, *v)), want);
-            // The dense-id lookup must resolve to the same prefix.
-            let id_prefix = flat.lookup_id(*addr).map(|id| flat.prefix(id));
-            prop_assert_eq!(id_prefix, want.map(|(p, _)| p));
-        }
-
-        // Exact-match agrees for every inserted prefix, and ids are
-        // consistent with dump order.
-        for (p, _) in &entries {
-            prop_assert_eq!(flat.get(*p), compressed.get(*p));
-            let id = flat.id_of(*p).expect("inserted prefix has an id");
-            prop_assert_eq!(flat.prefix(id), *p);
+            let want = oracle.lookup(*addr).map(|(_, &id)| id);
+            prop_assert_eq!(snap.lookup_id(*addr), want, "addr {:#010x}", addr);
         }
     }
 
     #[test]
     fn lookup_many_matches_per_address_lookup_id(entries in arb_table(), queries in prop::collection::vec(any::<u32>(), 0..192)) {
         // The generator covers empty tables, default routes (len 0) and
-        // >/24 (spilled) prefixes; the batch APIs must agree with the
-        // per-address resolver on all of them, at every batch size that
-        // straddles the internal 64-lane chunking.
-        let flat = FlatLpm::from_entries(entries.iter().copied());
+        // >/24 (spilled) prefixes; the batch API must agree with the
+        // per-address resolver and the oracle on all of them, at batch
+        // sizes on both sides of the attribution chunk (64).
+        let entries = with_index_ids(&entries);
+        let oracle = linear_oracle(&entries);
+        let snap = EpochLpm::from_entries(entries.iter().copied()).pin();
         // Guaranteed-hit probes (network + last address of each entry)
         // mixed into the random queries.
         let addrs: Vec<u32> = queries
@@ -222,19 +217,17 @@ proptest! {
             .chain(entries.iter().flat_map(|(p, _)| [p.bits(), u32::from(p.last_addr())]))
             .collect();
         let mut out = vec![None; addrs.len()];
-        flat.lookup_many(&addrs, &mut out);
-        let mut raw = vec![0u32; addrs.len()];
-        flat.lookup_many_raw(&addrs, &mut raw);
+        snap.lookup_many(&addrs, &mut out);
         for (i, &addr) in addrs.iter().enumerate() {
-            let want = flat.lookup_id(addr);
+            let want = oracle.lookup(addr).map(|(_, &id)| id);
             prop_assert_eq!(out[i], want, "lookup_many at {:#010x}", addr);
-            prop_assert_eq!(raw[i], want.map_or(0, |id| id + 1), "lookup_many_raw at {:#010x}", addr);
+            prop_assert_eq!(snap.lookup_id(addr), want, "lookup_id at {:#010x}", addr);
         }
         // Sub-batch splits agree with the full batch.
         for size in [1usize, 7, 64, 65] {
             let mut split = vec![None; addrs.len()];
             for (a_chunk, o_chunk) in addrs.chunks(size).zip(split.chunks_mut(size)) {
-                flat.lookup_many(a_chunk, o_chunk);
+                snap.lookup_many(a_chunk, o_chunk);
             }
             prop_assert_eq!(&split, &out, "batch size {}", size);
         }
@@ -242,12 +235,11 @@ proptest! {
 
     /// The live-table tentpole invariant: a table built by applying a
     /// random announce/withdraw sequence as epoch deltas is
-    /// lookup-for-lookup identical to freezing the final RIB from
-    /// scratch. Ids differ by construction (epoch ids are
-    /// caller-assigned, flat ids are dump-ordered), so equality is by
-    /// resolved *prefix* — checked on the scalar, `lookup_many` and
-    /// `lookup_many_raw` paths at random addresses plus every touched
-    /// prefix's boundary addresses.
+    /// lookup-for-lookup identical to a fresh bulk build of the final
+    /// RIB and to the linear-scan oracle over it. All three carry the
+    /// same caller-assigned ids, so equality is by id — checked on the
+    /// scalar and `lookup_many` paths at random addresses plus every
+    /// touched prefix's boundary addresses.
     #[test]
     fn epoch_deltas_equal_fresh_freeze(
         ops in prop::collection::vec(
@@ -292,12 +284,11 @@ proptest! {
             si += 1;
         }
 
-        // Freeze the final RIB from scratch, carrying the prefix as the
-        // value so both sides resolve to a prefix.
-        let flat: FlatLpm<Prefix> = FlatLpm::from_entries(rib.iter().map(|(p, _)| (*p, *p)));
-        let id_to_prefix: std::collections::HashMap<u32, Prefix> =
-            rib.iter().map(|(p, &id)| (id, *p)).collect();
-        prop_assert_eq!(table.entries().len(), flat.len());
+        // Build the final RIB from scratch, and the oracle over it.
+        let final_rib: Vec<(Prefix, u32)> = rib.iter().map(|(p, &id)| (*p, id)).collect();
+        let fresh = EpochLpm::from_entries(final_rib.iter().copied()).pin();
+        let oracle = linear_oracle(&final_rib);
+        prop_assert_eq!(table.entries(), final_rib);
 
         let addrs: Vec<u32> = queries
             .iter()
@@ -311,16 +302,11 @@ proptest! {
         let snap = table.pin();
         let mut live = vec![None; addrs.len()];
         snap.lookup_many(&addrs, &mut live);
-        let mut live_raw = vec![0u32; addrs.len()];
-        snap.lookup_many_raw(&addrs, &mut live_raw);
         for (i, &addr) in addrs.iter().enumerate() {
-            let want = flat.lookup(addr).map(|(p, _)| p);
-            let scalar = snap.lookup_id(addr).map(|id| id_to_prefix[&id]);
-            prop_assert_eq!(scalar, want, "scalar at {:#010x}", addr);
-            let batch = live[i].map(|id| id_to_prefix[&id]);
-            prop_assert_eq!(batch, want, "lookup_many at {:#010x}", addr);
-            let raw = if live_raw[i] == 0 { None } else { Some(id_to_prefix[&(live_raw[i] - 1)]) };
-            prop_assert_eq!(raw, want, "lookup_many_raw at {:#010x}", addr);
+            let want = oracle.lookup(addr).map(|(_, &id)| id);
+            prop_assert_eq!(fresh.lookup_id(addr), want, "fresh build at {:#010x}", addr);
+            prop_assert_eq!(snap.lookup_id(addr), want, "scalar at {:#010x}", addr);
+            prop_assert_eq!(live[i], want, "lookup_many at {:#010x}", addr);
         }
     }
 }

@@ -12,9 +12,9 @@
 //! * a [`PacketSource`] yields time-ordered packet chunks — a pcap
 //!   stream ([`PcapSource`]), a synthetic workload ([`TraceSource`]), or
 //!   raw in-memory metadata ([`MetaSource`]);
-//! * attribution reuses the frozen flat-array LPM and its *batched*
-//!   lookup (`FrozenBgpTable::attribute_ids`, 64-packet chunks), the
-//!   same hot path as the batch aggregator;
+//! * attribution goes through a pinned DIR-24-8 table view and its
+//!   *batched* lookup (`TableView::attribute_ids`, 64-packet chunks),
+//!   the same hot path as the batch aggregator;
 //! * one dense byte row accumulates the **open interval only**; when a
 //!   packet's timestamp crosses the interval boundary the row is sealed
 //!   into a sparse snapshot and fed to

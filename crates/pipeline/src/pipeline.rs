@@ -8,7 +8,7 @@ use eleph_core::{
     ConstantLoadDetector, ExactDense, IntervalOutcome, OnlineClassifier, Scheme, StateBackend,
     StateBackendConfig, ThresholdDetector, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
-use eleph_flow::{attribute_metas, FrozenTableRef, KeyAllocator, KeyId};
+use eleph_flow::{attribute_metas, KeyAllocator, KeyId};
 use eleph_net::Prefix;
 use eleph_packet::{LinkType, PacketMeta};
 use eleph_trace::{CrashPoint, CrashSwitch};
@@ -168,58 +168,17 @@ pub struct PipelineReport {
     pub state_backend: &'static str,
 }
 
-/// The routing table a pipeline attributes against: either a frozen
-/// snapshot (generation 0 forever) or a live [`LiveBgpTable`] plus the
-/// pinned [`TableView`] the hot path currently reads. Applying an
-/// update batch re-pins the view; packets already attributed keep the
-/// route ids (and therefore keys) the old generation gave them.
-enum TableHandle<'t> {
-    Frozen(FrozenTableRef<'t>),
-    Live {
-        table: &'t LiveBgpTable,
-        view: TableView,
-    },
-}
-
-impl TableHandle<'_> {
-    /// Size of the route-id space: dense `0..len` for a frozen table,
-    /// the all-time id count (retired ids included) for a live one.
-    fn id_space(&self) -> usize {
-        match self {
-            TableHandle::Frozen(t) => t.get().len(),
-            TableHandle::Live { view, .. } => view.n_ids(),
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        match self {
-            TableHandle::Frozen(_) => 0,
-            TableHandle::Live { view, .. } => view.generation(),
-        }
-    }
-
-    /// The prefix behind `route` (live tables resolve retired ids too,
-    /// which checkpoint revalidation relies on).
-    fn prefix(&self, route: RouteId) -> Prefix {
-        match self {
-            TableHandle::Frozen(t) => t.get().prefix(route),
-            TableHandle::Live { view, .. } => view.prefix(route),
-        }
-    }
-
-    fn attribute(&self, metas: &[PacketMeta], routes: &mut Vec<Option<RouteId>>) {
-        match self {
-            TableHandle::Frozen(t) => attribute_metas(t.get(), metas, routes),
-            TableHandle::Live { view, .. } => attribute_metas(view, metas, routes),
-        }
-    }
-
-    fn attribute_one(&self, dst: u32) -> Option<RouteId> {
-        match self {
-            TableHandle::Frozen(t) => t.get().attribute_id(dst),
-            TableHandle::Live { view, .. } => view.attribute_id(dst),
-        }
-    }
+/// The routing table a pipeline attributes against: the pinned
+/// [`TableView`] the hot path reads, plus the [`LiveBgpTable`] behind it
+/// when routes change mid-stream. A frozen table has no `live` side and
+/// stays at generation 0 forever. Applying an update batch re-pins the
+/// view; packets already attributed keep the route ids (and therefore
+/// keys) the old generation gave them.
+struct TableHandle<'t> {
+    /// The hot path's pinned view; its id space ([`TableView::n_ids`])
+    /// includes retired ids, which checkpoint revalidation relies on.
+    view: TableView,
+    live: Option<&'t LiveBgpTable>,
 }
 
 /// Builder for [`Pipeline`]. Defaults: the paper's headline
@@ -272,15 +231,15 @@ impl PipelineBuilder<'_, ConstantLoadDetector> {
 
 impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// Attribute against a read-optimized copy of `table` (frozen
-    /// immediately; the pipeline does not borrow the live table).
+    /// immediately; the pipeline does not borrow the RIB).
     pub fn table(mut self, table: &BgpTable) -> Self {
-        self.table = Some(TableHandle::Frozen(FrozenTableRef::Owned(Box::new(table.freeze()))));
+        self.table = Some(TableHandle { view: table.freeze(), live: None });
         self
     }
 
     /// Attribute against an existing freeze (shared across pipelines).
     pub fn frozen(mut self, table: &'t FrozenBgpTable) -> Self {
-        self.table = Some(TableHandle::Frozen(FrozenTableRef::Borrowed(table)));
+        self.table = Some(TableHandle { view: table.clone(), live: None });
         self
     }
 
@@ -290,10 +249,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// refreeze. The pipeline pins a view at build time and re-pins
     /// after every batch it applies.
     pub fn live(mut self, table: &'t LiveBgpTable) -> Self {
-        self.table = Some(TableHandle::Live {
-            view: table.view(),
-            table,
-        });
+        self.table = Some(TableHandle { view: table.view(), live: Some(table) });
         self
     }
 
@@ -411,7 +367,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
         // drift on window validation.
         let (start_ns, interval_ns) =
             eleph_flow::window_bounds_ns(self.interval_secs, self.start_unix);
-        let n_routes = table.id_space();
+        let n_routes = table.view.n_ids();
         let row = match self.state.build() {
             Some(backend) => Row::Sketch(backend),
             None => Row::Exact(ExactDense::new()),
@@ -518,17 +474,17 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
         // same schedule); a frozen table is forever at generation 0, so
         // a checkpoint born live refuses to graft onto it — and vice
         // versa.
-        if table.generation() != c.generation {
+        if table.view.generation() != c.generation {
             return Err(mismatch(
                 "table generation",
-                table.generation().to_string(),
+                table.view.generation().to_string(),
                 c.generation.to_string(),
             ));
         }
         let next_update = usize::try_from(c.generation).map_err(|_| {
             CheckpointError::Mismatch(format!("table generation: {} exceeds usize", c.generation))
         })?;
-        if matches!(table, TableHandle::Live { .. }) && next_update > update_ns.len() {
+        if table.live.is_some() && next_update > update_ns.len() {
             return Err(CheckpointError::Mismatch(format!(
                 "table generation: checkpoint consumed {} update batches but the schedule \
                  holds {}",
@@ -536,7 +492,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
                 update_ns.len()
             )));
         }
-        let n_routes = table.id_space();
+        let n_routes = table.view.n_ids();
         if n_routes as u64 != c.n_routes {
             return Err(mismatch(
                 "routing table size",
@@ -553,7 +509,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
                     "key {id}: route {route} outside the table"
                 )));
             }
-            let actual = table.prefix(route);
+            let actual = table.view.prefix(route);
             if actual != prefix {
                 return Err(mismatch(
                     &format!("key {id} prefix"),
@@ -640,7 +596,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
 /// `u64` nanoseconds, or the schedule is out of time order.
 fn update_schedule(table: &TableHandle<'_>, updates: &[UpdateBatch]) -> Vec<u64> {
     assert!(
-        updates.is_empty() || matches!(table, TableHandle::Live { .. }),
+        updates.is_empty() || table.live.is_some(),
         "route updates need a live table (use .live(..), not .table/.frozen)"
     );
     let ns: Vec<u64> = updates
@@ -787,7 +743,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             return Ok(());
         }
         let mut routes = std::mem::take(&mut self.route_scratch);
-        self.table.attribute(metas, &mut routes);
+        attribute_metas(&self.table.view, metas, &mut routes);
         let result = metas
             .iter()
             .zip(routes.iter())
@@ -806,7 +762,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         let Some(interval) = self.classify_window(meta.ts_ns)? else {
             return Ok(());
         };
-        let route = self.table.attribute_one(u32::from(meta.dst));
+        let route = self.table.view.attribute_id(u32::from(meta.dst));
         self.advance_and_bin(meta, route, interval)
     }
 
@@ -821,9 +777,9 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     /// the table view after each so subsequent attribution sees it.
     fn apply_due_updates(&mut self, ts_ns: u64) {
         while self.next_update < self.updates.len() && self.update_ns[self.next_update] <= ts_ns {
-            if let TableHandle::Live { table, view } = &mut self.table {
-                table.apply(&self.updates[self.next_update].updates);
-                *view = table.view();
+            if let Some(live) = self.table.live {
+                live.apply(&self.updates[self.next_update].updates);
+                self.table.view = live.view();
             }
             self.next_update += 1;
         }
@@ -974,7 +930,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         let (key, newly_assigned) = self.key_alloc.key_for(route);
         if newly_assigned {
             debug_assert_eq!(key as usize, self.keys.len());
-            self.keys.push(self.table.prefix(route));
+            self.keys.push(self.table.view.prefix(route));
         }
         let bytes = u64::from(meta.wire_len);
         self.engine.bin(key, bytes);
@@ -1040,8 +996,8 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
                 gamma: classifier.gamma(),
                 scheme: classifier.scheme(),
                 detector: classifier.detector_name(),
-                n_routes: self.table.id_space() as u64,
-                generation: self.table.generation(),
+                n_routes: self.table.view.n_ids() as u64,
+                generation: self.table.view.generation(),
             },
             open: self.open as u64,
             far_future_streak: self.far_future_streak,
@@ -1088,7 +1044,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             stats: self.stats,
             intervals: self.open,
             far_future_streak: self.far_future_streak,
-            generation: self.table.generation(),
+            generation: self.table.view.generation(),
             route_updates_applied: self.next_update as u64,
             distinct_keys: self.keys.len(),
             state_bytes: self.engine.state().state_bytes(),

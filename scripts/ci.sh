@@ -12,8 +12,8 @@
 #      online classification, no matrix) against aggregate_pcap +
 #      classify, bit-identical on the same capture bytes;
 #   4. the `prefetch` feature: build and test the feature-gated software
-#      prefetch paths (net batch lookup, packet scan-ahead, and their
-#      dependents) so the gated code cannot rot unbuilt;
+#      prefetch in the packet scan-ahead (and the crates that forward
+#      the feature) so the gated code cannot rot unbuilt;
 #   5. bench compilation: the criterion harnesses must at least build;
 #   6. executables: examples build and the packet-path ones smoke-run,
 #      and `eleph run` streams a tiny synthetic workload to JSONL;
@@ -62,8 +62,8 @@ cargo test -q -p eleph-tests --test streaming_equivalence
 echo "== feature gate: prefetch build =="
 cargo build -p eleph-flow -p eleph-bench --features prefetch
 
-echo "== feature gate: prefetch tests (net + packet + flow) =="
-cargo test -q -p eleph-net -p eleph-packet -p eleph-flow --features prefetch
+echo "== feature gate: prefetch tests (packet + flow) =="
+cargo test -q -p eleph-packet -p eleph-flow --features prefetch
 
 echo "== benches compile =="
 cargo build -p eleph-bench --benches --release
