@@ -216,15 +216,6 @@ impl LiveBgpTable {
     pub fn n_ids(&self) -> usize {
         self.routes.lock().expect("route store poisoned").n_ids as usize
     }
-
-    /// Snapshot the *live* routes into an updatable [`BgpTable`]
-    /// (used to compare a delta-built table against a fresh freeze).
-    pub fn to_table(&self) -> BgpTable {
-        let view = self.view();
-        BgpTable::from_entries(
-            self.lpm.entries().into_iter().map(|(_, id)| view.route(id).clone()),
-        )
-    }
 }
 
 impl Default for LiveBgpTable {
@@ -446,7 +437,7 @@ mod tests {
             let via_fresh = fresh.attribute_id(addr(a)).map(|id| fresh.prefix(id));
             assert_eq!(via_live, via_fresh, "{a}");
         }
-        assert_eq!(live.to_table().len(), fresh.n_ids());
+        assert_eq!(live.len(), fresh.n_ids());
     }
 
     #[test]

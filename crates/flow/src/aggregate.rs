@@ -17,12 +17,12 @@
 //!   work is two array index operations and one add;
 //! * interval assignment uses nanosecond bounds precomputed at
 //!   construction — no per-packet multiplies;
-//! * pcap streaming reuses one capture buffer
-//!   ([`PcapReader::next_record_into`]) instead of allocating per
-//!   record.
+//! * pcap records are framed and parsed in place in the reader's
+//!   buffer ([`PcapReader::next_record_with`], the same framing as the
+//!   streaming `PcapSource`) instead of being copied out per record.
 
 use std::borrow::Cow;
-use std::io::Read;
+use std::io::BufRead;
 
 use eleph_bgp::{BgpTable, FrozenBgpTable, RouteId};
 use eleph_net::{LpmView, Prefix};
@@ -443,7 +443,7 @@ fn matrix_from_rows(
 /// parsing abort with the error (a damaged file is not a measurement);
 /// packets inside records that fail *packet* parsing are counted as
 /// malformed and skipped.
-pub fn aggregate_pcap<R: Read>(
+pub fn aggregate_pcap<R: BufRead>(
     input: R,
     table: &BgpTable,
     interval_secs: u64,
@@ -458,7 +458,7 @@ pub fn aggregate_pcap<R: Read>(
 
 /// [`aggregate_pcap`] against an already-frozen table — the
 /// steady-state form when one RIB serves many captures.
-pub fn aggregate_pcap_frozen<R: Read>(
+pub fn aggregate_pcap_frozen<R: BufRead>(
     input: R,
     frozen: &FrozenBgpTable,
     interval_secs: u64,
@@ -472,18 +472,19 @@ pub fn aggregate_pcap_frozen<R: Read>(
 }
 
 /// The shared pcap drive loop behind both serial entry points.
-fn aggregate_pcap_with<R: Read>(
+fn aggregate_pcap_with<R: BufRead>(
     input: R,
     mut agg: Aggregator<'_>,
 ) -> eleph_packet::Result<(BandwidthMatrix, AggregatorStats)> {
     let mut reader = PcapReader::new(input)?;
     let link = LinkType::from_code(reader.header().linktype)?;
-    let mut buf = Vec::new();
     // Decode into meta chunks and batch-attribute each full one;
     // malformed records are rejected immediately.
     let mut chunk: Vec<PacketMeta> = Vec::with_capacity(ATTRIBUTION_CHUNK);
-    while let Some(head) = reader.next_record_into(&mut buf)? {
-        match parse_buf_meta(link, &buf, &head) {
+    while let Some(parsed) =
+        reader.next_record_with(|head, data| parse_buf_meta(link, data, head))?
+    {
+        match parsed {
             Ok(meta) => {
                 chunk.push(meta);
                 if chunk.len() == ATTRIBUTION_CHUNK {

@@ -120,9 +120,11 @@ pub fn parse_record_meta(link: LinkType, record: &PcapRecord) -> Result<PacketMe
     parse_buf_meta(link, &record.data, &head)
 }
 
-/// [`parse_record_meta`] for the buffer-reusing read path
-/// ([`crate::pcap::PcapReader::next_record_into`]): captured bytes in
-/// `data`, timestamp and original length from `head`.
+/// [`parse_record_meta`] over borrowed captured bytes: `data` wherever
+/// the framer left the record (in place in a reader's buffer via
+/// [`crate::pcap::PcapReader::next_record_with`], a span of a shared
+/// capture, or a copy from [`crate::pcap::PcapReader::next_record_into`]),
+/// timestamp and original length from `head`.
 pub fn parse_buf_meta(
     link: LinkType,
     data: &[u8],

@@ -11,7 +11,7 @@
 //! Timestamps are normalised to **nanoseconds since the epoch** (`u64`) on
 //! both paths, so the rest of the system never sees the resolution.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 
 use bytes::Bytes;
 
@@ -156,10 +156,22 @@ impl<W: Write> PcapWriter<W> {
 }
 
 /// Streaming reader for capture files of either byte order and resolution.
+///
+/// Over a buffered input ([`BufRead`]: a `BufReader`, or a `&[u8]`
+/// holding the whole capture) [`PcapReader::next_record_with`] frames
+/// and parses each record in place in the input's own buffer; the
+/// copying reads ([`PcapReader::next_record_into`],
+/// [`PcapReader::next_record`]) work over any [`Read`].
 #[derive(Debug)]
 pub struct PcapReader<R: Read> {
     input: R,
     header: PcapHeader,
+    /// Copy target of [`PcapReader::next_record_with`] for records that
+    /// straddle the end of the input's buffer; untouched otherwise.
+    scratch: Vec<u8>,
+    /// Bytes past the cursor that [`PcapReader::next_record_with`] has
+    /// already prefetched.
+    ahead: usize,
 }
 
 impl<R: Read> PcapReader<R> {
@@ -193,6 +205,8 @@ impl<R: Read> PcapReader<R> {
                 snaplen,
                 linktype,
             },
+            scratch: Vec::new(),
+            ahead: 0,
         })
     }
 
@@ -204,8 +218,8 @@ impl<R: Read> PcapReader<R> {
     /// Read the next record; `Ok(None)` on clean end-of-file.
     ///
     /// Allocates a fresh buffer per record. Hot loops should prefer
-    /// [`PcapReader::next_record_into`], which reuses one buffer across
-    /// the whole stream.
+    /// [`PcapReader::next_record_with`] (in place, over a buffered
+    /// input) or [`PcapReader::next_record_into`] (one reused buffer).
     pub fn next_record(&mut self) -> Result<Option<PcapRecord>> {
         let mut data = Vec::new();
         Ok(self.next_record_into(&mut data)?.map(|head| PcapRecord {
@@ -218,9 +232,10 @@ impl<R: Read> PcapReader<R> {
     /// Read the next record's bytes into `data` (cleared and refilled),
     /// returning its header; `Ok(None)` on clean end-of-file.
     ///
-    /// This is the zero-allocation streaming form: after the buffer has
-    /// grown to the stream's largest capture length, record iteration
-    /// allocates nothing.
+    /// This is the zero-allocation copying form for any [`Read`]: after
+    /// the buffer has grown to the stream's largest capture length,
+    /// record iteration allocates nothing, but every record's bytes are
+    /// zero-filled and copied.
     pub fn next_record_into(&mut self, data: &mut Vec<u8>) -> Result<Option<RecordHeader>> {
         let mut rec_head = [0u8; 16];
         match read_exact_or_eof(&mut self.input, &mut rec_head)? {
@@ -236,6 +251,59 @@ impl<R: Read> PcapReader<R> {
         data.resize(caplen as usize, 0);
         self.input.read_exact(data)?;
         Ok(Some(head))
+    }
+}
+
+impl<R: BufRead> PcapReader<R> {
+    /// Frame the next record and hand its header and captured bytes to
+    /// `parse`, returning what `parse` returns; `Ok(None)` on clean
+    /// end-of-file.
+    ///
+    /// A record that lies wholly in the input's buffer is parsed where
+    /// it lies: nothing is copied or zero-filled, so a parser that reads
+    /// only the headers touches only their cache lines. Before each
+    /// record the cache lines up to 4 KiB past the cursor
+    /// (within the buffered bytes) are prefetched: the record-header
+    /// walk is a dependent chain, each offset coming from the previous
+    /// record's captured length, and warming the lines ahead keeps it
+    /// off the memory-latency floor.
+    ///
+    /// A record that straddles the end of the buffer is copied through
+    /// [`PcapReader::next_record_into`] into a scratch buffer the reader
+    /// owns, so every error (cut header, cut body, implausible captured
+    /// length, I/O failure) is the one the copying read reports. Over a `&[u8]` the
+    /// whole capture is buffered and only a damaged tail takes the copy.
+    pub fn next_record_with<T>(
+        &mut self,
+        parse: impl FnOnce(&RecordHeader, &[u8]) -> T,
+    ) -> Result<Option<T>> {
+        // A failed refill (even `Interrupted`) is left to the copying
+        // read below, which retries or reports it as it always has.
+        let avail = self.input.fill_buf().unwrap_or_default();
+        let target = avail.len().min(SCAN_AHEAD_BYTES);
+        while self.ahead < target {
+            touch_ahead(&avail[self.ahead]);
+            self.ahead += CACHE_LINE;
+        }
+        if let Some(rec_head) = avail.first_chunk::<16>() {
+            let (head, caplen) =
+                decode_record_header(rec_head, self.header.swapped, self.header.resolution)?;
+            let end = 16 + caplen as usize;
+            if let Some(data) = avail.get(16..end) {
+                let out = parse(&head, data);
+                self.input.consume(end);
+                self.ahead = self.ahead.saturating_sub(end);
+                return Ok(Some(out));
+            }
+        }
+        // The copy refills the buffer, which invalidates the prefetches.
+        self.ahead = 0;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = self
+            .next_record_into(&mut scratch)
+            .map(|head| head.map(|head| parse(&head, &scratch)));
+        self.scratch = scratch;
+        out
     }
 }
 
@@ -279,12 +347,11 @@ impl<R: Read> Iterator for PcapReader<R> {
 
 /// Zero-copy record cursor over an in-memory (or memory-mapped) capture.
 ///
-/// Where [`PcapReader`] copies each record's bytes out of a stream,
-/// `PcapSlice` hands back sub-slices of the input buffer — record
-/// iteration allocates and copies nothing. This is what lets pooled
-/// ingest ([`crate::pool::PooledReader`]) split one capture across
-/// threads: every parser reads records straight out of the shared
-/// buffer.
+/// `PcapSlice` hands back sub-slices of the input buffer, or their
+/// byte offsets — record iteration allocates and copies nothing, and a
+/// span outlives the cursor. This is what lets pooled ingest
+/// ([`crate::pool::PooledReader`]) split one capture across threads:
+/// every parser reads records straight out of the shared buffer.
 #[derive(Debug, Clone)]
 pub struct PcapSlice<'a> {
     data: &'a [u8],
@@ -330,16 +397,15 @@ impl<'a> PcapSlice<'a> {
     /// [`crate::pool::PooledReader`]).
     ///
     /// This is the two-cursor form of the scan: a *scan-ahead* cursor
-    /// walks the raw bytes roughly [`SCAN_AHEAD_BYTES`] in front of the
+    /// walks the raw bytes roughly 4 KiB in front of the
     /// decode position, requesting one cache line per touch, while the
     /// *consume* cursor decodes record headers behind it. The header
     /// walk itself is a dependent chain (each record's offset comes from
     /// the previous record's captured length), so a cold miss on every
     /// header serialises the whole scan — warming the lines ahead of
-    /// the chain keeps the framer off the memory-latency floor. With
-    /// the `prefetch` cargo feature the touches are real `prefetcht0`
-    /// hints; without it they are forced one-byte reads, which the
-    /// out-of-order window hides almost as well.
+    /// the chain keeps the framer off the memory-latency floor. The
+    /// touches are `prefetcht0` hints on x86-64 and nothing elsewhere
+    /// (the same scan-ahead as [`PcapReader::next_record_with`]).
     ///
     /// Errors abort the batch exactly like [`PcapSlice::next_record`]:
     /// spans already appended to `out` are valid, the cursor stops at
@@ -399,17 +465,20 @@ impl<'a> PcapSlice<'a> {
     }
 }
 
-/// How far the scan-ahead cursor of [`PcapSlice::next_batch_spans`] runs in
-/// front of the decode position. A few records' worth: far enough that
-/// the touched lines arrive before the consume cursor needs them, near
-/// enough not to thrash the L1.
+/// How far the scan-ahead of [`PcapSlice::next_batch_spans`] and
+/// [`PcapReader::next_record_with`] runs in front of the decode
+/// position. A few records' worth: far enough that the prefetched
+/// lines arrive before the decode needs them, near enough not to
+/// thrash the L1.
 const SCAN_AHEAD_BYTES: usize = 4096;
 
 /// Stride of the scan-ahead touches — one per cache line.
 const CACHE_LINE: usize = 64;
 
-/// Ask the memory system to warm the cache line holding `byte`.
-#[cfg(feature = "prefetch")]
+/// Ask the memory system to warm the cache line holding `byte`: a
+/// `prefetcht0` hint on x86-64, nothing on targets without a stable
+/// prefetch intrinsic (a forced read instead measured slower than no
+/// scan-ahead at all).
 #[inline(always)]
 #[allow(unsafe_code)]
 fn touch_ahead(byte: &u8) {
@@ -422,21 +491,8 @@ fn touch_ahead(byte: &u8) {
             core::arch::x86_64::_MM_HINT_T0,
         );
     }
-    // No stable prefetch intrinsic on other architectures: fall back to
-    // the forced read the feature-off build uses, so enabling the
-    // feature never loses the scan-ahead warming.
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = std::hint::black_box(*byte);
-}
-
-/// Warm the cache line holding `byte` with a forced (non-elidable)
-/// read — the safe-code stand-in for a prefetch instruction; the
-/// out-of-order window hides the load's latency because nothing
-/// consumes its value.
-#[cfg(not(feature = "prefetch"))]
-#[inline(always)]
-fn touch_ahead(byte: &u8) {
-    let _ = std::hint::black_box(*byte);
+    let _ = byte;
 }
 
 enum ReadOutcome {
@@ -760,6 +816,26 @@ mod tests {
         ));
         let mut cut_body = PcapSlice::new(&buf[..buf.len() - 2]).unwrap();
         assert!(matches!(cut_body.next_record().unwrap_err(), PacketError::Io(_)));
+    }
+
+    #[test]
+    fn in_place_pass_over_a_slice_never_copies() {
+        let mut buf = Vec::new();
+        let mut w = PcapWriter::with_options(&mut buf, 101, TsResolution::Nano, 65535).unwrap();
+        for i in 0..200u64 {
+            let len = (i * 37 % 1500) as usize;
+            w.write_record(i * 1_000, len as u32 + 4, &vec![i as u8; len])
+                .unwrap();
+        }
+        w.finish().unwrap();
+        let mut reader = PcapReader::new(&buf[..]).unwrap();
+        let mut n = 0;
+        while let Some(len) = reader.next_record_with(|_, data| data.len()).unwrap() {
+            assert_eq!(len, (n * 37 % 1500) as usize);
+            n += 1;
+        }
+        assert_eq!(n, 200);
+        assert_eq!(reader.scratch.capacity(), 0, "a buffered record was copied");
     }
 
     #[test]

@@ -40,7 +40,8 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let table: eleph_bgp::BgpTable = /* load or synthesize a RIB */
 //! #     eleph_bgp::synth::generate(&eleph_bgp::synth::SynthConfig::default());
-//! let file = std::fs::File::open("capture.pcap")?;
+//! // `PcapSource` parses records in place in the reader's buffer.
+//! let file = std::io::BufReader::with_capacity(1 << 20, std::fs::File::open("capture.pcap")?);
 //!
 //! let mut pipeline = PipelineBuilder::new()
 //!     .table(&table)

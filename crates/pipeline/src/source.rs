@@ -1,6 +1,6 @@
 //! Packet sources: where a [`crate::Pipeline`] gets its packets.
 
-use std::io::Read;
+use std::io::{BufRead, Read};
 
 use eleph_packet::pcap::PcapReader;
 use eleph_packet::{parse_buf_meta, LinkType, PacketMeta};
@@ -48,22 +48,23 @@ impl<S: PacketSource + ?Sized> PacketSource for &mut S {
     }
 }
 
-/// Streams a pcap capture: structural record framing via
-/// [`PcapReader::next_record_into`] (one reused capture buffer, no
-/// per-record allocation), packet parsing via [`parse_buf_meta`].
+/// Streams a pcap capture: each record is framed and parsed in place in
+/// the input's buffer ([`PcapReader::next_record_with`] feeding
+/// [`parse_buf_meta`]), with a prefetch scan-ahead over the buffered
+/// bytes. Over a `&[u8]` no record byte is copied; over a `BufReader`
+/// only records straddling a buffer refill are.
 ///
 /// Structural pcap errors abort the run — a damaged file is not a
 /// measurement. Packets that fail *packet* parsing (bad IPv4 header,
 /// truncated transport) are counted via [`PacketSource::malformed`] and
 /// skipped, exactly like the batch `aggregate_pcap` path.
-pub struct PcapSource<R: Read> {
+pub struct PcapSource<R: BufRead> {
     reader: PcapReader<R>,
     link: LinkType,
-    buf: Vec<u8>,
     malformed: u64,
 }
 
-impl<R: Read> PcapSource<R> {
+impl<R: BufRead> PcapSource<R> {
     /// Open a pcap stream (reads and validates the file header).
     pub fn new(input: R) -> eleph_packet::Result<Self> {
         let reader = PcapReader::new(input)?;
@@ -71,7 +72,6 @@ impl<R: Read> PcapSource<R> {
         Ok(PcapSource {
             reader,
             link,
-            buf: Vec::new(),
             malformed: 0,
         })
     }
@@ -82,21 +82,23 @@ impl<R: Read> PcapSource<R> {
     }
 }
 
-impl<R: Read> PacketSource for PcapSource<R> {
+impl<R: BufRead> PacketSource for PcapSource<R> {
     fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
         let base = out.len();
+        let link = self.link;
         loop {
-            match self.reader.next_record_into(&mut self.buf)? {
+            match self
+                .reader
+                .next_record_with(|head, data| parse_buf_meta(link, data, head))?
+            {
                 None => return Ok(out.len() - base),
-                Some(head) => match parse_buf_meta(self.link, &self.buf, &head) {
-                    Ok(meta) => {
-                        out.push(meta);
-                        if out.len() - base >= SOURCE_CHUNK {
-                            return Ok(out.len() - base);
-                        }
+                Some(Ok(meta)) => {
+                    out.push(meta);
+                    if out.len() - base >= SOURCE_CHUNK {
+                        return Ok(out.len() - base);
                     }
-                    Err(_) => self.malformed += 1,
-                },
+                }
+                Some(Err(_)) => self.malformed += 1,
             }
         }
     }
@@ -110,7 +112,9 @@ impl<R: Read> PacketSource for PcapSource<R> {
 /// the parser: every record is offered to the injector first, so drops
 /// vanish before parsing while corruption/truncation usually surface as
 /// malformed packets — the same path `eleph run`'s `--fault-*` flags
-/// exercise for degraded-input drills.
+/// exercise for degraded-input drills. The injector mutates the record,
+/// so each one is copied into a reused buffer
+/// ([`PcapReader::next_record_into`]) rather than parsed in place.
 ///
 /// Deterministic in the injector's seed: replaying the same capture
 /// with the same config reproduces the identical packet stream, which

@@ -719,7 +719,9 @@ pub fn run_streaming(args: &[String]) -> io::Result<()> {
         if let Some(n) = opts.intervals {
             builder = builder.n_intervals(n);
         }
-        let file = std::fs::File::open(path)?;
+        // Buffered: one read(2) per MiB rather than two per record, and
+        // `PcapSource` parses records in place in this buffer.
+        let file = io::BufReader::with_capacity(1 << 20, std::fs::File::open(path)?);
         let map_src = |e: eleph_packet::PacketError| io::Error::other(format!("{path}: {e}"));
         if opts.wants_faults() {
             let injector = FaultInjector::try_new(opts.fault_config())

@@ -10,26 +10,25 @@
 #      re-run by name so a failure is attributed immediately);
 #   3. streaming equivalence: the PR-4 pipeline (packets → sealing →
 #      online classification, no matrix) against aggregate_pcap +
-#      classify, bit-identical on the same capture bytes;
-#   4. the `prefetch` feature: build and test the feature-gated software
-#      prefetch in the packet scan-ahead (and the crates that forward
-#      the feature) so the gated code cannot rot unbuilt;
-#   5. bench compilation: the criterion harnesses must at least build;
-#   6. executables: examples build and the packet-path ones smoke-run,
+#      classify, bit-identical on the same capture bytes; and
+#      `eleph run --pcap` from a file (serial, pooled ingest, rotated
+#      output) byte-identical to the pipeline over the capture in memory;
+#   4. bench compilation: the criterion harnesses must at least build;
+#   5. executables: examples build and the packet-path ones smoke-run,
 #      and `eleph run` streams a tiny synthetic workload to JSONL;
-#   7. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
+#   6. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
 #      and resumed with `--resume`; the recovered JSONL must be
 #      byte-identical to an uninterrupted reference run (no duplicated,
 #      no missing interval records). The gate is timing-independent: a
 #      kill that lands before the first checkpoint degrades to a fresh
 #      start, one that lands after completion re-seals the tail — both
 #      still must reproduce the reference bytes;
-#   8. churn determinism: `eleph churn` generates a route-update
+#   7. churn determinism: `eleph churn` generates a route-update
 #      schedule, the same capture is streamed twice with `--rib-updates`
 #      replaying that schedule mid-stream, and the two JSONL outputs
 #      must be byte-for-byte identical (update replay is a function of
 #      packet timestamps, never of IO chunking or wall-clock);
-#   9. sketch tier: every state backend (exact, spacesaving, cmrow,
+#   8. sketch tier: every state backend (exact, spacesaving, cmrow,
 #      bloom) streams the same seeded synthetic capture twice and the
 #      two JSONL outputs must be byte-identical (sketches are
 #      deterministic functions of the stream, never of hashing luck or
@@ -59,11 +58,8 @@ cargo test -q -p eleph-core --lib online::
 echo "== streaming equivalence: pipeline vs aggregate_pcap + classify =="
 cargo test -q -p eleph-tests --test streaming_equivalence
 
-echo "== feature gate: prefetch build =="
-cargo build -p eleph-flow -p eleph-bench --features prefetch
-
-echo "== feature gate: prefetch tests (packet + flow) =="
-cargo test -q -p eleph-packet -p eleph-flow --features prefetch
+echo "== streaming equivalence: eleph run --pcap (serial, pooled, rotated) vs in-memory =="
+cargo test -q -p eleph-tests --test cli_pcap -- eleph_run_pcap_paths_emit_identical_jsonl
 
 echo "== benches compile =="
 cargo build -p eleph-bench --benches --release
